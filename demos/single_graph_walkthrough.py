@@ -10,7 +10,6 @@ threshold, and a few more fall into dyadic degree buckets below it.
 import random
 
 from moddeg import (
-    AnalysisConfig,
     BipartiteGraph,
     ResidueSpec,
     build_chain,
@@ -48,7 +47,7 @@ def main() -> None:
     problems = check_chain(graph, chain)
     print(f"  independent invariant check: {problems or 'clean'}")
 
-    heavy = high_degree_targets(graph, chain, AnalysisConfig())
+    heavy = high_degree_targets(graph, chain)
     print(f"\nhigh-degree remainder vertices (threshold {K ** 3}): {heavy.ids()}")
 
     for mode in ("sampled", "derandomized"):

@@ -16,7 +16,6 @@ degree is congruent to 1 modulo k.  This package makes that constructive:
 """
 
 from .construction import (
-    AnalysisConfig,
     ChainLevel,
     ConstructionError,
     ConstructionTrace,
@@ -56,7 +55,6 @@ from .mixing import (
     fourier_gap_bound,
     residue_distribution,
     residue_distribution_exact,
-    residue_one_probability,
     residue_table,
     uniformity_check,
     uniformity_table,
@@ -74,7 +72,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig",
     "BatchRecord",
     "BipartiteGraph",
     "ChainLevel",
@@ -114,7 +111,6 @@ __all__ = [
     "parse_graph",
     "residue_distribution",
     "residue_distribution_exact",
-    "residue_one_probability",
     "residue_table",
     "run_batch",
     "sample_subset",

@@ -72,46 +72,13 @@ class DominatingChain:
         return [len(level.dominators) for level in self.levels]
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Reporting thresholds for classifying which route the size analysis
-    would pick, plus the high-degree cutoff exponent.
-
-    ``matching_share`` classifies the run as route 1 when the first dominator
-    level is at least that fraction of side 1 divided by k; ``heavy_share``
-    classifies route 2 when the above-threshold vertices are at least that
-    fraction of side 1.  The two shares must sum below 1 so the third route
-    covers a positive share.  ``threshold_exponent`` sets the high-degree
-    cutoff at k**threshold_exponent (default 3).  Classification is report
-    only: all applicable routes always run.
-    """
-
-    matching_share: Fraction = Fraction(1, 4)
-    heavy_share: Fraction = Fraction(1, 2)
-    threshold_exponent: int = 3
-
-    def __post_init__(self):
-        if self.matching_share <= 0 or self.heavy_share <= 0:
-            raise ValueError("shares must be positive")
-        if self.matching_share + self.heavy_share >= 1:
-            raise ValueError("shares must sum below 1")
-        if self.threshold_exponent < 1:
-            raise ValueError("threshold exponent must be >= 1")
-
-    @classmethod
-    def from_epsilon(cls, epsilon: Fraction) -> "AnalysisConfig":
-        """Shares approaching (1/3, 2/3) from below as epsilon shrinks."""
-        eps = Fraction(epsilon)
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
-        return cls(
-            matching_share=Fraction(1, 3) - eps / 2,
-            heavy_share=Fraction(2, 3) - eps,
-        )
-
-    @classmethod
-    def default(cls) -> "AnalysisConfig":
-        return cls.from_epsilon(Fraction(1, 1000))
+# The size analysis classifies a run as route 1 when the first dominator
+# level times k is at least MATCHING_SHARE of side 1, else as route 2 when
+# the high-degree targets are at least HEAVY_SHARE of side 1, else route 3.
+# The shares sit just below (1/3, 2/3).  The classification is report only:
+# all applicable routes always run.
+MATCHING_SHARE = Fraction(1, 3) - Fraction(1, 2000)
+HEAVY_SHARE = Fraction(2, 3) - Fraction(1, 1000)
 
 
 def minimal_dominating_set(
@@ -259,11 +226,11 @@ def matching_candidate(chain: DominatingChain) -> VertexSet:
 
 
 def high_degree_targets(
-    graph: BipartiteGraph, chain: DominatingChain, config: AnalysisConfig
+    graph: BipartiteGraph, chain: DominatingChain, *, threshold_exponent: int = 3
 ) -> VertexSet:
     """Remainder vertices with at least k**threshold_exponent neighbours in
     the deepest dominator level."""
-    threshold = chain.k ** config.threshold_exponent
+    threshold = chain.k ** threshold_exponent
     deepest = chain.deepest
     heavy = 0
     for v in chain.remainder:
@@ -308,7 +275,8 @@ def largest_dyadic_bucket(
     graph: BipartiteGraph,
     chain: DominatingChain,
     rest: VertexSet,
-    config: AnalysisConfig,
+    *,
+    threshold_exponent: int = 3,
 ) -> tuple[int, VertexSet]:
     """Bucket ``rest`` by floor(log2(degree into the deepest level)) and
     return the fullest bucket (ties: smallest exponent).
@@ -320,7 +288,7 @@ def largest_dyadic_bucket(
     """
     if not rest:
         raise ValueError("empty vertex set: no bucket to pick")
-    threshold = chain.k ** config.threshold_exponent
+    threshold = chain.k ** threshold_exponent
     deepest = chain.deepest
     buckets: dict[int, int] = {}
     for v in rest:
@@ -371,9 +339,9 @@ class ConstructionTrace:
     ``case`` is the route whose candidate won (1 induced matching, 2
     half-density sampling of the high-degree targets, 3 dyadic-bucket
     sampling); ``analysis_case`` is the route the size analysis would have
-    classified from the config shares, recorded for reporting only.  The
-    chosen/unit/patch sets belong to the winning candidate; expected and
-    achieved scores are kept for every sampled route.
+    classified from ``MATCHING_SHARE`` and ``HEAVY_SHARE``, recorded for
+    reporting only.  The chosen/unit/patch sets belong to the winning
+    candidate; expected and achieved scores are kept for every sampled route.
     """
 
     k: int
@@ -436,25 +404,27 @@ class ConstructionTrace:
         return out
 
 
-def _classify(
-    graph: BipartiteGraph,
-    chain: DominatingChain,
-    heavy: VertexSet,
-    config: AnalysisConfig,
-) -> int:
+def _classify(graph: BipartiteGraph, chain: DominatingChain, heavy: VertexSet) -> int:
     first = len(chain.levels[0].dominators)
-    if Fraction(first * chain.k) >= config.matching_share * graph.n1:
+    if Fraction(first * chain.k) >= MATCHING_SHARE * graph.n1:
         return 1
-    if Fraction(len(heavy)) >= config.heavy_share * graph.n1:
+    if Fraction(len(heavy)) >= HEAVY_SHARE * graph.n1:
         return 2
     return 3
 
 
-def _deterministic_expectation(
-    graph: BipartiteGraph, deepest: VertexSet, scored: VertexSet, k: int
-) -> float:
-    hits = sum(1 for v in scored if graph.degree_in(v, deepest) % k == 1)
-    return float(hits)
+def check_run_parameters(
+    k: int, mode: str, retries: int, threshold_exponent: int = 3
+) -> None:
+    """Raise ValueError unless :func:`find_mod_one_subgraph` accepts these."""
+    if k < 2:
+        raise ValueError(f"modulus must be >= 2, got {k}")
+    if mode not in ("sampled", "derandomized"):
+        raise ValueError(f"mode must be 'sampled' or 'derandomized', got {mode!r}")
+    if retries < 1:
+        raise ValueError(f"retries must be >= 1, got {retries}")
+    if threshold_exponent < 1:
+        raise ValueError(f"threshold exponent must be >= 1, got {threshold_exponent}")
 
 
 def find_mod_one_subgraph(
@@ -464,7 +434,7 @@ def find_mod_one_subgraph(
     mode: str = "sampled",
     seed: int | None = 0,
     retries: int = 16,
-    config: AnalysisConfig | None = None,
+    threshold_exponent: int = 3,
 ) -> tuple[VertexSet, ConstructionTrace]:
     """Largest verified induced subgraph with every degree = 1 mod k.
 
@@ -476,33 +446,25 @@ def find_mod_one_subgraph(
     subsets from a generator seeded with ``seed`` and keep the draw hitting
     the most scored vertices.  In "derandomized" mode subsets are fixed by
     conditional expectations and the run is fully deterministic; ``seed`` and
-    ``retries`` are ignored.
+    ``retries`` are ignored.  Remainder vertices with at least
+    k**threshold_exponent neighbours in the deepest level count as high
+    degree.
     """
-    if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
-    if mode not in ("sampled", "derandomized"):
-        raise ValueError(f"mode must be 'sampled' or 'derandomized', got {mode!r}")
-    if retries < 1:
-        raise ValueError(f"retries must be >= 1, got {retries}")
-    if config is None:
-        config = AnalysisConfig.default()
-
+    check_run_parameters(k, mode, retries, threshold_exponent)
     chain = build_chain(graph, k)
     deepest = chain.deepest
-    heavy = high_degree_targets(graph, chain, config)
+    heavy = high_degree_targets(graph, chain, threshold_exponent=threshold_exponent)
     rest = chain.remainder - heavy
     rng = random.Random(seed)
     residue_spec = ResidueSpec(residue=1, modulus=k)
 
     def run_route(scored: VertexSet, exponent: int):
+        expected = mixing.expected_unit_score(graph, deepest, scored, k, exponent)
         if exponent == 0:
             chosen = deepest
-            expected = _deterministic_expectation(graph, deepest, scored, k)
         elif mode == "derandomized":
             chosen = mixing.derandomize_subset(graph, deepest, scored, k, exponent)
-            expected = mixing.expected_unit_score(graph, deepest, scored, k, exponent)
         else:
-            expected = mixing.expected_unit_score(graph, deepest, scored, k, exponent)
             chosen = None
             best_key = None
             for _ in range(retries):
@@ -533,7 +495,9 @@ def find_mod_one_subgraph(
     bucket_exponent = None
     bucket = None
     if rest:
-        bucket_exponent, bucket = largest_dyadic_bucket(graph, chain, rest, config)
+        bucket_exponent, bucket = largest_dyadic_bucket(
+            graph, chain, rest, threshold_exponent=threshold_exponent
+        )
         cand, chosen, units, patch, expected, achieved = run_route(
             bucket, bucket_exponent
         )
@@ -556,7 +520,7 @@ def find_mod_one_subgraph(
         seed=seed if mode == "sampled" else None,
         retries=retries,
         case=best_case,
-        analysis_case=_classify(graph, chain, heavy, config),
+        analysis_case=_classify(graph, chain, heavy),
         candidate_sizes={
             case: len(candidates[case][0]) if case in candidates else None
             for case in (1, 2, 3)

@@ -238,11 +238,6 @@ class BipartiteGraph:
         return out
 
 
-def degree_in(graph: BipartiteGraph, v: int, subset: VertexSet) -> int:
-    """Module-level alias for :meth:`BipartiteGraph.degree_in`."""
-    return graph.degree_in(v, subset)
-
-
 def verify_residue(
     graph: BipartiteGraph, subset: VertexSet, spec: ResidueSpec
 ) -> ResidueCheck:

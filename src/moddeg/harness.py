@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import generators, oracle
-from .construction import AnalysisConfig, find_mod_one_subgraph
+from .construction import check_run_parameters, find_mod_one_subgraph
 from .graph import ResidueSpec, verify_residue
 
 SCHEMA_VERSION = 1
@@ -202,7 +202,6 @@ def run_batch(
     mode: str = "sampled",
     seed: int = 0,
     retries: int = 16,
-    config: AnalysisConfig | None = None,
     oracle_max_n: int | None = None,
     oracle_budget: int = 100_000_000,
 ) -> ExperimentReport:
@@ -211,14 +210,16 @@ def run_batch(
     Per-instance seeds are all drawn from the master generator before any
     work starts, so inserting or reordering timing code cannot change them.
     When ``oracle_max_n`` is set, instances with at most that many vertices
-    also get their exact maximum computed for comparison.  A failing instance
-    is recorded with its error and the batch continues; a record with
+    also get their exact maximum computed for comparison.  Bad run parameters
+    raise ValueError before any instance runs.  A failing instance is
+    recorded with its error and the batch continues; a record with
     ``verified == False`` means the construction's output failed the residue
     recheck, which is a bug by contract, and the report keeps the evidence
     rather than hiding it behind an exception.
     """
     if not specs:
         raise ValueError("need at least one instance spec")
+    check_run_parameters(k, mode, retries)
     master = random.Random(seed)
     seeds = [(master.randrange(2**63), master.randrange(2**63)) for _ in specs]
     records = []
@@ -229,7 +230,7 @@ def run_batch(
         try:
             graph, descriptor = generators.generate(kind, seed=gen_seed, **params)
             subgraph, trace = find_mod_one_subgraph(
-                graph, k, mode=mode, seed=run_seed, retries=retries, config=config
+                graph, k, mode=mode, seed=run_seed, retries=retries
             )
             check = verify_residue(graph, subgraph, ResidueSpec(1, k))
             optimum = None

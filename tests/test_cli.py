@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moddeg
 from moddeg.cli import main
 from moddeg.graph import parse_graph
 
@@ -113,6 +118,16 @@ class TestFind:
         bad.write_text("not a graph\n")
         code, _, err = run(["find", "--input", str(bad), "--k", "2"], capsys)
         assert code == 2
+
+    def test_threshold_exponent_below_one(self, star_file, capsys):
+        code, out, err = run(
+            ["find", "--input", str(star_file), "--k", "2",
+             "--threshold-exponent", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOracle:
@@ -226,6 +241,23 @@ class TestBench:
         with pytest.raises(SystemExit, match="no instances"):
             main(["bench", "--k", "2"])
 
+    @pytest.mark.parametrize("spec, flags", [
+        ({"k": 2, "instances": [{"count": 2, "params": {"pairs": 2}}]}, []),
+        ({"k": 2, "mode": "greedy",
+          "instances": [{"kind": "matching", "params": {"pairs": 2}}]}, []),
+        ({"k": 2, "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+         ["--retries", "0"]),
+        ([{"kind": "matching"}], []),
+    ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
+            "spec-not-an-object"])
+    def test_bad_run_parameters_are_usage_errors(self, spec, flags, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(["bench", "--spec", str(path), *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_timing_breaks_no_canonical_fields(self, capsys):
         code, out, _ = run(self.INLINE + ["--timing"], capsys)
         assert code == 0
@@ -246,6 +278,30 @@ class TestMixing:
         rows = out.strip().splitlines()
         assert rows[0].startswith("k,")
         assert len(rows) == 4
+
+    def test_failing_rows_still_printed(self, capsys):
+        code, out, err = run(
+            ["mixing", "--threshold-exponent", "1", "--k-max", "6"], capsys
+        )
+        assert code == 1
+        rows = out.strip().splitlines()
+        assert [row.split()[0] for row in rows] == ["k", "2", "3", "4", "5", "6"]
+        assert "Traceback" not in err
+        assert "k = " in err and "5" in err.split("k = ")[1].split(", ")
+
+
+class TestModuleEntryPoints:
+    def test_python_dash_m(self):
+        src = str(Path(moddeg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for module in ("moddeg", "moddeg.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "mixing", "--k-max", "3"],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[0].split()[0] == "k"
 
 
 class TestSeedEnvironment:

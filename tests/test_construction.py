@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bipartite_graphs
 from moddeg import (
-    AnalysisConfig,
     BipartiteGraph,
     ChainLevel,
     ConstructionError,
@@ -31,6 +30,7 @@ from moddeg import (
     unit_residue_targets,
     verify_residue,
 )
+from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE
 from moddeg.generators import complete_bipartite, matching, star
 
 
@@ -230,16 +230,14 @@ class TestRouteIngredients:
         g = boundary_graph()
         chain = build_chain(g, 2)
         assert set(chain.remainder) == {9, 10}
-        heavy = high_degree_targets(g, chain, AnalysisConfig())
+        heavy = high_degree_targets(g, chain)
         assert set(heavy) == {9}
 
     def test_dyadic_bucket_prefers_the_fullest(self):
         g = staircase_graph()
         chain = build_chain(g, 2)
         assert set(chain.remainder) == {7, 8, 9, 10}
-        exponent, bucket = largest_dyadic_bucket(
-            g, chain, chain.remainder, AnalysisConfig()
-        )
+        exponent, bucket = largest_dyadic_bucket(g, chain, chain.remainder)
         assert exponent == 1
         assert set(bucket) == {8, 9}
 
@@ -247,19 +245,18 @@ class TestRouteIngredients:
         g = matching(2)
         chain = build_chain(g, 2)
         with pytest.raises(ValueError):
-            largest_dyadic_bucket(g, chain, VertexSet(), AnalysisConfig())
+            largest_dyadic_bucket(g, chain, VertexSet())
 
     @given(bipartite_graphs(max_side1=8, max_side2=8), st.integers(2, 4))
     @settings(max_examples=60)
     def test_dyadic_bucket_pigeonhole(self, g, k):
-        config = AnalysisConfig()
         chain = build_chain(g, k)
-        rest = chain.remainder - high_degree_targets(g, chain, config)
+        rest = chain.remainder - high_degree_targets(g, chain)
         if not rest:
             return
-        exponent, bucket = largest_dyadic_bucket(g, chain, rest, config)
+        exponent, bucket = largest_dyadic_bucket(g, chain, rest)
         assert bucket <= rest
-        slots = (k ** config.threshold_exponent).bit_length()
+        slots = (k ** 3).bit_length()
         assert len(bucket) * slots >= len(rest)
         for v in bucket:
             assert g.degree_in(v, chain.deepest).bit_length() - 1 == exponent
@@ -348,23 +345,16 @@ class TestFixDegrees:
 
 
 class TestAnalysisConfig:
+    """The report-only route shares and the high-degree threshold exponent."""
+
     def test_default_shares(self):
-        config = AnalysisConfig.default()
-        assert config.matching_share == Fraction(1, 3) - Fraction(1, 2000)
-        assert config.heavy_share == Fraction(2, 3) - Fraction(1, 1000)
-        assert config.matching_share + config.heavy_share < 1
+        assert MATCHING_SHARE == Fraction(1, 3) - Fraction(1, 2000)
+        assert HEAVY_SHARE == Fraction(2, 3) - Fraction(1, 1000)
+        assert MATCHING_SHARE + HEAVY_SHARE < 1
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            AnalysisConfig(matching_share=Fraction(0))
-        with pytest.raises(ValueError):
-            AnalysisConfig(
-                matching_share=Fraction(1, 2), heavy_share=Fraction(1, 2)
-            )
-        with pytest.raises(ValueError):
-            AnalysisConfig(threshold_exponent=0)
-        with pytest.raises(ValueError):
-            AnalysisConfig.from_epsilon(Fraction(0))
+            find_mod_one_subgraph(matching(2), 2, threshold_exponent=0)
 
 
 class TestFindModOneSubgraph:
@@ -393,6 +383,7 @@ class TestFindModOneSubgraph:
         assert trace.case == 3
         assert trace.bucket_exponent == 0
         assert trace.candidate_sizes == {1: 2, 2: None, 3: 6}
+        assert trace.expected_scores == {3: 5.0}
 
     def test_complete_4x4_patches_two_levels(self):
         for mode in ("sampled", "derandomized"):

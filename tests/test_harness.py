@@ -144,3 +144,10 @@ class TestErrorContinuation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_batch([], 2)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 1}, {"k": 2, "mode": "greedy"}, {"k": 2, "retries": 0},
+    ])
+    def test_bad_run_parameters_rejected_before_any_instance(self, kwargs):
+        with pytest.raises(ValueError):
+            run_batch([("matching", {"pairs": 2})], **kwargs)

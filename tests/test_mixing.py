@@ -52,14 +52,23 @@ class TestResidueDistribution:
         assert mixing.residue_distribution_exact(9, 2, 1)[1] == Fraction(1, 2)
 
     def test_k3_n27_near_third(self):
-        assert mixing.residue_one_probability(27, 3) == pytest.approx(1 / 3, abs=1e-6)
+        dist = mixing.residue_distribution(27, 3)
+        assert dist.probability(1) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_float_dp_tracks_exact_dp(self):
-        for n, k, e in [(30, 3, 1), (50, 6, 2), (64, 5, 1)]:
+        cubes = [(k**3, k, 1) for k in range(2, 11)]
+        for n, k, e in [(30, 3, 1), (50, 6, 2), (64, 5, 1)] + cubes:
             exact = mixing.residue_distribution_exact(n, k, e)
             dist = mixing.residue_distribution(n, k, e)
             for r in range(k):
                 assert abs(dist.probability(r) - float(exact[r])) < 1e-12
+
+    def test_large_n_smoke(self):
+        dist = mixing.residue_distribution(10**6, 25)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        # the bound holds for the exact value; allow float rounding on top
+        bound = mixing.fourier_gap_bound(10**6, 25)
+        assert abs(dist.probability(1) - 1 / 25) <= bound + 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +91,15 @@ class TestResidueDistribution:
         for n in (0, 3, 12):
             dist = mixing.residue_distribution(n, 4, 1)
             assert np.allclose(table[n], dist.probs, atol=1e-15)
+
+    def test_table_exponent_zero_is_exact_point_masses(self):
+        table = mixing.residue_table(9, 4, 0)
+        for n in range(10):
+            want = np.zeros(4)
+            want[n % 4] = 1.0
+            assert np.array_equal(table[n], want)
+        with pytest.raises(ValueError):
+            mixing.residue_table(3, 4, -1)
 
 
 class TestFourierBound:
@@ -143,9 +161,17 @@ class TestUniformityCheck:
         with pytest.raises(ValueError):
             mixing.format_uniformity_table(checks, "html")
 
+    def test_failure_is_reported_not_raised(self):
+        check = mixing.uniformity_check(5, threshold_exponent=1)
+        assert check.n == 5
+        assert check.ratio < 0.95
+        assert not check.passed
+
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             mixing.uniformity_check(1)
+        with pytest.raises(ValueError):
+            mixing.uniformity_check(3, threshold_exponent=-1)
 
 
 def brute_conditional_expectation(
