@@ -25,7 +25,7 @@ import sys
 
 from . import generators, harness, mixing, oracle
 from .construction import find_mod_one_subgraph
-from .graph import GraphError, ResidueSpec, parse_graph, serialize_graph, verify_residue
+from .graph import ResidueSpec, parse_graph, serialize_graph, verify_residue
 
 ENV_SEED = "MODDEG_SEED"
 
@@ -37,7 +37,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: {ENV_SEED} must be an integer, got {raw!r}")
+        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _read_graph(path: str, permissive: bool):
@@ -307,41 +307,69 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
+    """Read a batch spec file and return it with its instance list.
+
+    The schema is checked before any instance runs, so a malformed file is
+    one usage error rather than a batch of failure records.
+    """
+    with open(path, encoding="utf-8") as handle:
+        file_spec = json.load(handle)
+    if not isinstance(file_spec, dict):
+        raise ValueError(f"{path}: a batch spec must be a JSON object")
+    for key in ("k", "retries", "seed"):
+        value = file_spec.get(key, 0)
+        if type(value) is not int:  # bool is an int subclass; reject it too
+            raise ValueError(f'{path}: "{key}" must be an integer, got {value!r}')
+    blocks = file_spec.get("instances", [])
+    if not isinstance(blocks, list):
+        raise ValueError(f'{path}: "instances" must be a list, got {blocks!r}')
+    specs: list[tuple[str, dict]] = []
+    known = sorted(generators.GENERATORS)
+    for index, block in enumerate(blocks):
+        where = f"{path}: instance block {index}"
+        if not isinstance(block, dict) or "kind" not in block:
+            raise ValueError(f'{where} has no "kind"')
+        kind, count = block["kind"], block.get("count", 1)
+        params = block.get("params", {})
+        if kind not in known:
+            raise ValueError(f"{where}: unknown kind {kind!r}; known kinds: {known}")
+        if type(count) is not int or count < 1:
+            raise ValueError(f'{where}: "count" must be an integer >= 1, got {count!r}')
+        if not isinstance(params, dict):
+            raise ValueError(f'{where}: "params" must be an object, got {params!r}')
+        specs.extend([(kind, params)] * count)
+    return file_spec, specs
+
+
 def _cmd_bench(args) -> int:
     file_spec: dict = {}
-    if args.spec is not None:
-        with open(args.spec, encoding="utf-8") as handle:
-            file_spec = json.load(handle)
-        if not isinstance(file_spec, dict):
-            raise ValueError(f"{args.spec}: a batch spec must be a JSON object")
     specs: list[tuple[str, dict]] = []
-    for index, block in enumerate(file_spec.get("instances", [])):
-        if not isinstance(block, dict) or "kind" not in block:
-            raise ValueError(f'{args.spec}: instance block {index} has no "kind"')
-        specs.extend([(block["kind"], block.get("params", {}))] * block.get("count", 1))
+    if args.spec is not None:
+        file_spec, specs = _load_spec(args.spec)
     if args.kind is not None:
         if args.count < 1:
-            raise SystemExit("error: --count must be at least 1")
+            raise ValueError("--count must be at least 1")
         specs.extend([(args.kind, dict(args.param))] * args.count)
     if not specs:
-        raise SystemExit("error: no instances; pass --spec or --kind")
+        raise ValueError("no instances; pass --spec or --kind")
     k = args.k if args.k is not None else file_spec.get("k")
     if k is None:
-        raise SystemExit("error: no modulus; pass --k or put k in the spec file")
+        raise ValueError("no modulus; pass --k or put k in the spec file")
     mode = args.mode if args.mode is not None else file_spec.get("mode", "sampled")
     retries = args.retries if args.retries is not None else file_spec.get("retries", 16)
     if args.seed is not None:
         seed = args.seed
     elif "seed" in file_spec:
-        seed = int(file_spec["seed"])
+        seed = file_spec["seed"]
     else:
         seed = _default_seed()
     report = harness.run_batch(
         specs,
-        int(k),
+        k,
         mode=mode,
         seed=seed,
-        retries=int(retries),
+        retries=retries,
         oracle_max_n=args.oracle_max_n,
     )
     if args.format == "json":
@@ -374,10 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,41 +95,26 @@ def minimal_dominating_set(
     Raises :class:`DominationError` if some target has no candidate
     neighbour at all.
     """
-    target_ids = targets.ids()
-    live = {}
-    for v in target_ids:
-        c = (graph.adj[v] & candidates.mask).bit_count()
+    live = graph.degrees_into(targets, candidates)
+    for v, c in live.items():
         if c == 0:
             raise DominationError(f"target {v} has no neighbour among candidates")
-        live[v] = c
 
-    kept = candidates.mask
+    kept = candidates
     for w in candidates:
-        touched = graph.adj[w] & targets.mask
-        removable = True
-        m = touched
-        while m:
-            low = m & -m
-            if live[low.bit_length() - 1] < 2:
-                removable = False
-                break
-            m ^= low
-        if removable:
-            kept &= ~(1 << w)
-            m = touched
-            while m:
-                low = m & -m
-                live[low.bit_length() - 1] -= 1
-                m ^= low
+        touched = graph.neighbors(w) & targets
+        if all(live[v] >= 2 for v in touched):
+            kept = kept.remove(w)
+            for v in touched:
+                live[v] -= 1
 
     private_of: dict[int, int] = {}
-    for v in target_ids:
-        if live[v] == 1:
-            w = (graph.adj[v] & kept).bit_length() - 1
-            private_of.setdefault(w, v)
-    if len(private_of) != kept.bit_count():
+    for v, c in live.items():
+        if c == 1:
+            private_of.setdefault((graph.neighbors(v) & kept).max(), v)
+    if len(private_of) != len(kept):
         raise ConstructionError("kept dominator without a private target")
-    return VertexSet(kept), private_of
+    return kept, private_of
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -190,18 +175,17 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
                 problems.append(f"level {idx}: private map keyed by non-dominator {w}")
             if v not in targets:
                 problems.append(f"level {idx}: private {v} was not a live target")
-            if graph.adj[v] & doms.mask != 1 << w:
+            if graph.neighbors(v) & doms != VertexSet.single(w):
                 problems.append(
                     f"level {idx}: vertex {v} is not private to dominator {w}"
                 )
-        for v in targets:
-            if graph.adj[v] & doms.mask == 0:
+        degrees = graph.degrees_into(targets, doms)
+        for v, d in degrees.items():
+            if d == 0:
                 problems.append(f"level {idx}: target {v} left undominated")
-        witnessed = set()
-        for v in targets:
-            overlap = graph.adj[v] & doms.mask
-            if overlap.bit_count() == 1:
-                witnessed.add(overlap.bit_length() - 1)
+        witnessed = {
+            (graph.neighbors(v) & doms).max() for v, d in degrees.items() if d == 1
+        }
         for w in doms:
             if w not in witnessed:
                 problems.append(
@@ -231,12 +215,8 @@ def high_degree_targets(
     """Remainder vertices with at least k**threshold_exponent neighbours in
     the deepest dominator level."""
     threshold = chain.k ** threshold_exponent
-    deepest = chain.deepest
-    heavy = 0
-    for v in chain.remainder:
-        if graph.degree_in(v, deepest) >= threshold:
-            heavy |= 1 << v
-    return VertexSet(heavy)
+    degrees = graph.degrees_into(chain.remainder, chain.deepest)
+    return VertexSet.from_ids(v for v, d in degrees.items() if d >= threshold)
 
 
 def sample_subset(
@@ -252,23 +232,15 @@ def sample_subset(
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     if exponent == 0:
         return members
-    kept = 0
-    for w in members:
-        if rng.getrandbits(exponent) == 0:
-            kept |= 1 << w
-    return VertexSet(kept)
+    return VertexSet.from_ids(w for w in members if rng.getrandbits(exponent) == 0)
 
 
 def unit_residue_targets(
     graph: BipartiteGraph, pool: VertexSet, chosen: VertexSet, k: int
 ) -> VertexSet:
     """Members of ``pool`` whose neighbour count in ``chosen`` is 1 mod k."""
-    hits = 0
-    chosen_mask = chosen.mask
-    for v in pool:
-        if (graph.adj[v] & chosen_mask).bit_count() % k == 1:
-            hits |= 1 << v
-    return VertexSet(hits)
+    degrees = graph.degrees_into(pool, chosen)
+    return VertexSet.from_ids(v for v, d in degrees.items() if d % k == 1)
 
 
 def largest_dyadic_bucket(
@@ -289,18 +261,15 @@ def largest_dyadic_bucket(
     if not rest:
         raise ValueError("empty vertex set: no bucket to pick")
     threshold = chain.k ** threshold_exponent
-    deepest = chain.deepest
-    buckets: dict[int, int] = {}
-    for v in rest:
-        d = graph.degree_in(v, deepest)
+    buckets: dict[int, list[int]] = {}
+    for v, d in graph.degrees_into(rest, chain.deepest).items():
         if not 1 <= d < threshold:
             raise ConstructionError(
                 f"vertex {v} has degree {d}, outside [1, {threshold})"
             )
-        buckets.setdefault(d.bit_length() - 1, 0)
-        buckets[d.bit_length() - 1] |= 1 << v
-    exponent = max(buckets, key=lambda p: (buckets[p].bit_count(), -p))
-    bucket = VertexSet(buckets[exponent])
+        buckets.setdefault(d.bit_length() - 1, []).append(v)
+    exponent = max(buckets, key=lambda p: (len(buckets[p]), -p))
+    bucket = VertexSet.from_ids(buckets[exponent])
     slots = threshold.bit_length()  # floor(log2(threshold)) + 1
     if len(bucket) * slots < len(rest):
         raise ConstructionError("dyadic bucket fell below its pigeonhole share")
@@ -324,12 +293,11 @@ def fix_degrees(
     k = chain.k
     if not chosen <= chain.deepest:
         raise ConstructionError("chosen dominators stray outside the deepest level")
-    patch = 0
-    for u in chosen:
-        missing = (1 - graph.degree_in(u, unit_targets)) % k
-        for level in chain.levels[:missing]:
-            patch |= 1 << level.private_of[u]
-    return VertexSet(patch)
+    patch = []
+    for u, d in graph.degrees_into(chosen, unit_targets).items():
+        missing = (1 - d) % k
+        patch.extend(level.private_of[u] for level in chain.levels[:missing])
+    return VertexSet.from_ids(patch)
 
 
 @dataclass

@@ -1,8 +1,14 @@
 """Immutable bipartite graphs over integer bitsets, with modular-degree checks.
 
 Vertex ids are dense 0-based integers: ids ``0..n1-1`` form side 1 and ids
-``n1..n1+n2-1`` form side 2.  Every neighbourhood is stored as one Python int
-used as a bitmask, so set intersections and degree counts are popcounts.
+``n1..n1+n2-1`` form side 2.  Every neighbourhood and every :class:`VertexSet`
+is one Python int used as a bitmask, so set intersections and degree counts
+are popcounts.
+
+This module alone knows that format.  The rest of the package works through
+:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbors` and
+:meth:`BipartiteGraph.degrees_into`; the last is the one call that a graph
+core over CSR arrays would turn into a single vectorized pass.
 """
 
 from __future__ import annotations
@@ -31,17 +37,15 @@ class DuplicateEdgeWarning(UserWarning):
 class VertexSet:
     """A set of vertex ids backed by a single int bitmask.
 
-    Treated as immutable: every operation returns a new set.  Cardinality is
-    computed once at construction, so ``len`` is O(1).
+    Treated as immutable: every operation returns a new set.
     """
 
-    __slots__ = ("mask", "size")
+    __slots__ = ("mask",)
 
     def __init__(self, mask: int = 0):
         if mask < 0:
             raise ValueError("bitmask must be non-negative")
         self.mask = mask
-        self.size = mask.bit_count()
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "VertexSet":
@@ -55,7 +59,7 @@ class VertexSet:
         return cls(1 << v)
 
     def __len__(self) -> int:
-        return self.size
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -100,6 +104,10 @@ class VertexSet:
 
     def ids(self) -> list[int]:
         return list(self)
+
+    def max(self) -> int:
+        """Largest member id, or -1 for the empty set."""
+        return self.mask.bit_length() - 1
 
     def __repr__(self) -> str:
         return f"VertexSet({self.ids()!r})"
@@ -219,23 +227,18 @@ class BipartiteGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degree_in(self, v: int, subset: VertexSet) -> int:
-        """Number of neighbours of ``v`` inside ``subset``."""
-        return (self.adj[v] & subset.mask).bit_count()
+    def degrees_into(self, pool: VertexSet, subset: VertexSet) -> dict[int, int]:
+        """Neighbour count inside ``subset`` of each member of ``pool``,
+        keyed in ascending id order."""
+        adj, mask = self.adj, subset.mask
+        return {v: (adj[v] & mask).bit_count() for v in pool}
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (side-1 id, side-2 id), sorted."""
-        out = []
-        for u in range(self.n1):
-            m = self.adj[u]
-            while m:
-                low = m & -m
-                out.append((u, low.bit_length() - 1))
-                m ^= low
-        return out
+        return [(u, w) for u in range(self.n1) for w in self.neighbors(u)]
 
 
 def verify_residue(
@@ -248,9 +251,8 @@ def verify_residue(
     otherwise reports the smallest offending vertex id with its residue.
     An empty subset passes vacuously.
     """
-    mask = subset.mask
-    for v in subset:
-        r = (graph.adj[v] & mask).bit_count() % spec.modulus
+    for v, d in graph.degrees_into(subset, subset).items():
+        r = d % spec.modulus
         if r != spec.residue:
             return ResidueCheck(ok=False, witness=v, witness_residue=r)
     return ResidueCheck(ok=True)
@@ -305,6 +307,13 @@ def parse_graph(
     n1, n2 = _parse_int_pair(header, header_no)
     if n1 < 1 or n2 < 1:
         raise GraphError(f"line {header_no}: sides must be positive, got {n1} {n2}")
+    if max(n1, n2) > len(lines) - 1:
+        # every vertex needs an edge, so refuse the header before from_edges
+        # allocates a mask per declared vertex
+        raise GraphError(
+            f"line {header_no}: header declares sides of {n1} and {n2} vertices "
+            f"but only {len(lines) - 1} edge lines follow"
+        )
     edges = []
     for lineno, line in lines[1:]:
         u, v = _parse_int_pair(line, lineno)

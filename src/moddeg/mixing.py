@@ -228,7 +228,7 @@ def expected_unit_score(
 ) -> float:
     """Expected number of scored vertices whose degree into a random subset
     of ``members`` (each kept with probability 2^-exponent) is 1 mod k."""
-    degrees = [graph.degree_in(v, members) for v in scored]
+    degrees = list(graph.degrees_into(scored, members).values())
     if not degrees:
         return 0.0
     table = residue_table(max(degrees), k, exponent)
@@ -257,20 +257,19 @@ def derandomize_subset(
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
 
-    scored_ids = scored.ids()
-    undecided = {v: graph.degree_in(v, members) for v in scored_ids}
-    needed = {v: 1 % k for v in scored_ids}
+    undecided = graph.degrees_into(scored, members)
+    needed = {v: 1 % k for v in undecided}
     max_deg = max(undecided.values(), default=0)
     table = residue_table(max_deg, k, exponent)
 
     # Scored neighbours of each member, so a decision only touches the
     # vertices it can influence.
     touches: dict[int, list[int]] = {w: [] for w in members}
-    for v in scored_ids:
+    for v in undecided:
         for w in graph.neighbors(v) & members:
             touches[w].append(v)
 
-    kept = 0
+    kept = []
     for w in members:
         affected = touches[w]
         gain_drop = 0.0
@@ -286,5 +285,5 @@ def derandomize_subset(
             if keep:
                 needed[v] = (needed[v] - 1) % k
         if keep:
-            kept |= 1 << w
-    return VertexSet(kept)
+            kept.append(w)
+    return VertexSet.from_ids(kept)

@@ -59,16 +59,9 @@ def exact_max_order(
     n = graph.n
     r, q = spec.residue, spec.modulus
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    adj = graph.adj
     cur = [0] * n
     und = [graph.degree(v) for v in range(n)]
-    neighbours = [[] for _ in range(n)]
-    for v in range(n):
-        m = adj[v]
-        while m:
-            low = m & -m
-            neighbours[v].append(low.bit_length() - 1)
-            m ^= low
+    neighbours = [graph.neighbors(v).ids() for v in range(n)]
 
     best_size = 0
     best_mask = 0
@@ -142,7 +135,8 @@ def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResul
     valid = np.ones(masks.shape, dtype=bool)
     for v in range(n):
         included = (masks >> np.uint64(v)) & np.uint64(1)
-        deg = np.bitwise_count(masks & np.uint64(graph.adj[v]))
+        row = sum(1 << w for w in graph.neighbors(v))
+        deg = np.bitwise_count(masks & np.uint64(row))
         valid &= (included == 0) | (deg % q == r)
     sizes = np.bitwise_count(masks)
     sizes[~valid] = 0

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moddeg
+from moddeg import generators
 from moddeg.cli import main
 from moddeg.graph import parse_graph
 
@@ -118,6 +123,14 @@ class TestFind:
         bad.write_text("not a graph\n")
         code, _, err = run(["find", "--input", str(bad), "--k", "2"], capsys)
         assert code == 2
+
+    def test_header_larger_than_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "huge_header.txt"
+        path.write_text("1000000 1\n0 1000000\n")
+        code, out, err = run(["find", "--input", str(path), "--k", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
     def test_threshold_exponent_below_one(self, star_file, capsys):
         code, out, err = run(
@@ -234,12 +247,14 @@ class TestBench:
         path.write_text(json.dumps({
             "instances": [{"kind": "matching", "params": {"pairs": 2}}],
         }))
-        with pytest.raises(SystemExit, match="no modulus"):
-            main(["bench", "--spec", str(path)])
+        code, _, err = run(["bench", "--spec", str(path)], capsys)
+        assert code == 2
+        assert err == "error: no modulus; pass --k or put k in the spec file\n"
 
     def test_missing_instances(self, capsys):
-        with pytest.raises(SystemExit, match="no instances"):
-            main(["bench", "--k", "2"])
+        code, _, err = run(["bench", "--k", "2"], capsys)
+        assert code == 2
+        assert err == "error: no instances; pass --spec or --kind\n"
 
     @pytest.mark.parametrize("spec, flags", [
         ({"k": 2, "instances": [{"count": 2, "params": {"pairs": 2}}]}, []),
@@ -248,8 +263,18 @@ class TestBench:
         ({"k": 2, "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
          ["--retries", "0"]),
         ([{"kind": "matching"}], []),
+        ({"k": 2, "instances": [{"kind": "nope", "count": 2}]}, []),
+        ({"k": 2, "instances": [{"kind": "matching", "count": "3"}]}, []),
+        ({"k": 2, "instances": [{"kind": "matching", "count": 0}]}, []),
+        ({"k": 2, "instances": [{"kind": "matching", "params": [1]}]}, []),
+        ({"k": 2, "instances": {"kind": "matching"}}, []),
+        ({"k": [2], "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+         []),
+        ({"k": 2}, ["--kind", "matching", "--count", "0"]),
     ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
-            "spec-not-an-object"])
+            "spec-not-an-object", "unknown-kind", "count-not-an-integer",
+            "count-zero", "params-not-an-object", "instances-not-a-list",
+            "k-not-an-integer", "inline-count-zero"])
     def test_bad_run_parameters_are_usage_errors(self, spec, flags, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -316,6 +341,68 @@ class TestSeedEnvironment:
 
     def test_invalid_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("MODDEG_SEED", "lots")
-        with pytest.raises(SystemExit, match="must be an integer"):
-            main(["gen", "--kind", "random",
-                  "--param", "n1=2", "--param", "n2=2", "--param", "p=0.5"])
+        code, out, err = run(["gen", "--kind", "random", "--param", "n1=2",
+                              "--param", "n2=2", "--param", "p=0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: MODDEG_SEED must be an integer, got 'lots'\n"
+
+
+# Inputs for the boundary fuzz test: integers stay small so every run is quick.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | st.floats(0, 1)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_blocks = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(sorted(generators.GENERATORS)) | _json,
+    "count": st.integers(-1, 3) | _json,
+    "params": st.dictionaries(
+        st.sampled_from(["n1", "n2", "p", "degree", "a", "b", "pairs", "leaves",
+                         "center_side"]),
+        st.integers(0, 50) | st.floats(0, 1),
+        max_size=3,
+    ) | _json,
+})
+_specs = _json | st.fixed_dictionaries({}, optional={
+    "k": st.integers(-1, 50) | _json,
+    "mode": st.sampled_from(["sampled", "derandomized"]) | _json,
+    "retries": st.integers(-1, 50) | _json,
+    "seed": st.integers(-50, 50) | _json,
+    "instances": st.lists(_blocks, max_size=3) | _json,
+})
+_edge_lists = st.lists(
+    st.lists(
+        st.integers(-3, 50).map(str) | st.sampled_from(["#", "x", "1.5", "-", ""]),
+        max_size=3,
+    ).map(" ".join),
+    max_size=10,
+).map("\n".join) | st.text(max_size=30)
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(request=st.one_of(
+        st.tuples(st.just("find"), _edge_lists, st.booleans()),
+        st.tuples(st.just("bench"), _specs.map(json.dumps), st.just(False)),
+    ))
+    def test_malformed_input_exits_cleanly(self, request, tmp_path_factory):
+        command, text, permissive = request
+        path = tmp_path_factory.getbasetemp() / "fuzz_input"
+        path.write_text(text, encoding="utf-8")
+        if command == "find":
+            argv = ["find", "--input", str(path), "--k", "3", "--json"]
+            argv += ["--permissive"] if permissive else []
+        else:
+            argv = ["bench", "--spec", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -32,6 +32,7 @@ class TestVertexSet:
         assert (va <= vb) == (a <= b)
         assert va.isdisjoint(vb) == a.isdisjoint(b)
         assert len(va) == len(a)
+        assert va.max() == max(a, default=-1)
         assert (va == vb) == (a == b)
 
     @given(id_sets)
@@ -133,14 +134,18 @@ class TestDegreeQueries:
     def test_degree_in_additive_over_disjoint_sets(self, g, a, b):
         va = VertexSet.from_ids(a) & g.vertices
         vb = (VertexSet.from_ids(b) & g.vertices) - va
+        union, left, right = (g.degrees_into(g.vertices, s) for s in (va | vb, va, vb))
+        assert list(union) == list(range(g.n))
         for v in range(g.n):
-            assert g.degree_in(v, va | vb) == g.degree_in(v, va) + g.degree_in(v, vb)
+            assert union[v] == left[v] + right[v] == len(g.neighbors(v) & (va | vb))
 
     def test_empty_and_full(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 3)])
-        assert g.degree_in(0, VertexSet()) == 0
-        assert g.degree_in(0, g.vertices) == g.degree(0) == 2
-        assert g.degree_in(0, VertexSet.from_ids([2, 3])) == 2
+        one = VertexSet.single(0)
+        assert g.degrees_into(one, VertexSet()) == {0: 0}
+        assert g.degrees_into(one, g.vertices) == {0: g.degree(0)} == {0: 2}
+        assert g.degrees_into(one, VertexSet.from_ids([2, 3])) == {0: 2}
+        assert g.degrees_into(VertexSet(), g.vertices) == {}
 
 
 class TestVerifyResidue:
@@ -238,7 +243,7 @@ class TestParsePermissive:
         # vertex 0's side must stay side 1
         g = parse_graph("0 9\n5 6\n", permissive=True)
         assert (g.n1, g.n2) == (2, 2)
-        assert g.degree_in(0, g.side2) == 1
+        assert g.degrees_into(VertexSet.single(0), g.side2) == {0: 1}
 
     def test_empty_document(self):
         with pytest.raises(GraphError):

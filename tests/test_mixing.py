@@ -186,10 +186,11 @@ def brute_conditional_expectation(
     """Independent evaluator: expected hit count with the undecided members
     independently kept at 2^-exponent, via the binomial pmf per vertex."""
     total = Fraction(0)
+    pool = VertexSet.from_ids(scored)
+    current = graph.degrees_into(pool, kept)
+    open_count = graph.degrees_into(pool, VertexSet.from_ids(undecided))
     for v in scored:
-        cur = graph.degree_in(v, kept)
-        m = graph.degree_in(v, VertexSet.from_ids(undecided))
-        total += binomial_residue(m, k, exponent, (1 - cur) % k)
+        total += binomial_residue(open_count[v], k, exponent, (1 - current[v]) % k)
     return total
 
 
@@ -209,7 +210,7 @@ class TestDerandomize:
         members, scored = g.side2, g.side1
         expectation = mixing.expected_unit_score(g, members, scored, k, exponent)
         kept = mixing.derandomize_subset(g, members, scored, k, exponent)
-        achieved = sum(1 for v in scored if g.degree_in(v, kept) % k == 1)
+        achieved = sum(1 for d in g.degrees_into(scored, kept).values() if d % k == 1)
         assert achieved >= expectation - 1e-9
 
     @given(bipartite_graphs(max_side1=6, max_side2=6), st.integers(2, 4))
@@ -266,7 +267,9 @@ class TestExpectedUnitScore:
                 w for i, w in enumerate(member_ids) if mask >> i & 1
             )
             weight = q ** len(subset) * (1 - q) ** (len(member_ids) - len(subset))
-            hits = sum(1 for v in scored if g.degree_in(v, subset) % k == 1)
+            hits = sum(
+                1 for d in g.degrees_into(scored, subset).values() if d % k == 1
+            )
             total += weight * hits
         assert abs(got - float(total)) < 1e-9
 
