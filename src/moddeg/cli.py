@@ -19,6 +19,7 @@ verification or cross-check fails, 2 for bad input or bad usage.  The
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -338,8 +339,20 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
             raise ValueError(f'{where}: "count" must be an integer >= 1, got {count!r}')
         if not isinstance(params, dict):
             raise ValueError(f'{where}: "params" must be an object, got {params!r}')
+        _check_params(kind, params, where)
         specs.extend([(kind, params)] * count)
     return file_spec, specs
+
+
+def _check_params(kind: str, params: dict, where: str) -> None:
+    """Reject generator parameter names that ``kind`` does not take, or a
+    missing required one, before any instance runs."""
+    signature = inspect.signature(generators.GENERATORS[kind])
+    taken = [p for name, p in signature.parameters.items() if name != "rng"]
+    try:
+        signature.replace(parameters=taken).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"{where}: bad parameters for {kind!r}: {exc}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -350,6 +363,7 @@ def _cmd_bench(args) -> int:
     if args.kind is not None:
         if args.count < 1:
             raise ValueError("--count must be at least 1")
+        _check_params(args.kind, dict(args.param), "--param")
         specs.extend([(args.kind, dict(args.param))] * args.count)
     if not specs:
         raise ValueError("no instances; pass --spec or --kind")

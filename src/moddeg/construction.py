@@ -100,21 +100,23 @@ def minimal_dominating_set(
         if c == 0:
             raise DominationError(f"target {v} has no neighbour among candidates")
 
-    kept = candidates
+    kept: set[int] = set()
     for w in candidates:
-        touched = graph.neighbors(w) & targets
+        touched = [v for v in graph.neighbor_ids(w) if v in live]
         if all(live[v] >= 2 for v in touched):
-            kept = kept.remove(w)
             for v in touched:
                 live[v] -= 1
+        else:
+            kept.add(w)
 
     private_of: dict[int, int] = {}
     for v, c in live.items():
         if c == 1:
-            private_of.setdefault((graph.neighbors(v) & kept).max(), v)
+            w = next(u for u in graph.neighbor_ids(v) if u in kept)
+            private_of.setdefault(w, v)
     if len(private_of) != len(kept):
         raise ConstructionError("kept dominator without a private target")
-    return kept, private_of
+    return VertexSet.from_ids(kept), private_of
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -145,8 +147,8 @@ def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
 def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
     """Re-verify every chain invariant from scratch; returns violations.
 
-    Quadratic and independent of how the chain was built: nesting, equal
-    dominator/private cardinalities, disjointness of private sets, the
+    O(E) per level and independent of how the chain was built: nesting,
+    equal dominator/private cardinalities, disjointness of private sets, the
     private-neighbour property, domination of each level's targets,
     minimality of each level, and the remainder identity and lower bound.
     """
@@ -170,22 +172,25 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
         targets = graph.side1 - claimed
         if VertexSet.from_ids(level.private_of.values()) != privs:
             problems.append(f"level {idx}: private set disagrees with private map")
+        dom_ids = set(doms)
+        degrees = graph.degrees_into(targets, doms)
+
+        def dominators_of(v: int) -> list[int]:
+            return [u for u in graph.neighbor_ids(v) if u in dom_ids]
+
         for w, v in level.private_of.items():
-            if w not in doms:
+            if w not in dom_ids:
                 problems.append(f"level {idx}: private map keyed by non-dominator {w}")
-            if v not in targets:
+            if v not in degrees:
                 problems.append(f"level {idx}: private {v} was not a live target")
-            if graph.neighbors(v) & doms != VertexSet.single(w):
+            if dominators_of(v) != [w]:
                 problems.append(
                     f"level {idx}: vertex {v} is not private to dominator {w}"
                 )
-        degrees = graph.degrees_into(targets, doms)
         for v, d in degrees.items():
             if d == 0:
                 problems.append(f"level {idx}: target {v} left undominated")
-        witnessed = {
-            (graph.neighbors(v) & doms).max() for v, d in degrees.items() if d == 1
-        }
+        witnessed = {dominators_of(v)[0] for v, d in degrees.items() if d == 1}
         for w in doms:
             if w not in witnessed:
                 problems.append(

@@ -1,21 +1,28 @@
-"""Immutable bipartite graphs over integer bitsets, with modular-degree checks.
+"""Immutable bipartite graphs in CSR form, with modular-degree checks.
 
 Vertex ids are dense 0-based integers: ids ``0..n1-1`` form side 1 and ids
-``n1..n1+n2-1`` form side 2.  Every neighbourhood and every :class:`VertexSet`
-is one Python int used as a bitmask, so set intersections and degree counts
-are popcounts.
+``n1..n1+n2-1`` form side 2.  A graph stores its adjacency as two read-only
+NumPy ``int64`` arrays in compressed sparse row form: the neighbours of ``v``
+are ``indices[indptr[v]:indptr[v+1]]``, in ascending order, so memory is
+O(n + E) and a degree count into a vertex set is one vectorized O(E) pass.
+A :class:`VertexSet` is one Python int used as a bitmask, so set algebra,
+hashing and equality stay single int operations; converting a set to and
+from sorted ids goes through NumPy's bit packing instead of a walk over the
+bits.
 
-This module alone knows that format.  The rest of the package works through
-:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbors` and
-:meth:`BipartiteGraph.degrees_into`; the last is the one call that a graph
-core over CSR arrays would turn into a single vectorized pass.
+This module alone knows both formats.  The rest of the package works through
+:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids`,
+:meth:`BipartiteGraph.neighbors` and :meth:`BipartiteGraph.degrees_into`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -34,6 +41,14 @@ class DuplicateEdgeWarning(UserWarning):
     """An edge appeared more than once in the input and was deduplicated."""
 
 
+def _bits(mask: int, count: int = 0) -> np.ndarray:
+    """Bits of ``mask`` from bit 0 up as a 0/1 ``uint8`` array, padded with
+    zeros or cut to ``count`` entries when ``count`` is positive."""
+    size = max((mask.bit_length() + 7) >> 3, (count + 7) >> 3)
+    raw = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=count or None, bitorder="little")
+
+
 class VertexSet:
     """A set of vertex ids backed by a single int bitmask.
 
@@ -49,10 +64,12 @@ class VertexSet:
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for v in ids:
-            mask |= 1 << v
-        return cls(mask)
+        arr = np.fromiter(ids, dtype=np.int64)
+        if not arr.size:
+            return cls()
+        # bincount rejects negative ids; its nonzero entries are the members
+        packed = np.packbits(np.bincount(arr) != 0, bitorder="little")
+        return cls(int.from_bytes(packed, "little"))
 
     @classmethod
     def single(cls, v: int) -> "VertexSet":
@@ -69,11 +86,7 @@ class VertexSet:
 
     def __iter__(self) -> Iterator[int]:
         """Yield member ids in ascending order."""
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(self.ids())
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.mask | other.mask)
@@ -103,11 +116,10 @@ class VertexSet:
         return self.mask & other.mask == 0
 
     def ids(self) -> list[int]:
-        return list(self)
-
-    def max(self) -> int:
-        """Largest member id, or -1 for the empty set."""
-        return self.mask.bit_length() - 1
+        """Member ids in ascending order."""
+        if not self.mask:
+            return []
+        return _bits(self.mask).nonzero()[0].tolist()
 
     def __repr__(self) -> str:
         return f"VertexSet({self.ids()!r})"
@@ -141,18 +153,21 @@ class ResidueCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """A bipartite graph, immutable after construction.
 
-    ``adj[v]`` is the neighbour bitmask of vertex ``v``; every neighbour lies
-    on the opposite side.  Build instances through :meth:`from_edges`,
-    :func:`parse_graph`, or the generators module so validation always runs.
+    ``adj`` is the CSR pair ``(indptr, indices)`` of read-only ``int64``
+    arrays: ``indptr`` has n+1 entries and ``indices`` 2E, and the neighbours
+    of ``v`` are ``indices[indptr[v]:indptr[v+1]]`` in ascending order, all
+    on the opposite side.  Graphs compare and hash by their sides and edge
+    set.  Build instances through :meth:`from_edges`, :func:`parse_graph`, or
+    the generators module so validation always runs.
     """
 
     n1: int
     n2: int
-    adj: tuple[int, ...]
+    adj: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def from_edges(
@@ -168,27 +183,34 @@ class BipartiteGraph:
         Edges may be given in either endpoint order.  Duplicates are handled
         per ``on_duplicate``: "warn" (dedupe with a warning), "ignore"
         (dedupe silently), or "error".  Raises if any edge fails to cross
-        sides or any vertex ends up isolated.
+        sides or any vertex ends up isolated; an invalid edge is reported as
+        the first one in input order.
         """
         if n1 < 1 or n2 < 1:
             raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
         n = n1 + n2
-        masks = [0] * n
-        seen: set[tuple[int, int]] = set()
-        duplicates = 0
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphError(f"edge ({a}, {b}) out of range for {n} vertices")
-            if b < a:
-                a, b = b, a
-            if not (a < n1 <= b):
-                raise GraphError(f"edge ({a}, {b}) does not join side 1 to side 2")
-            if (a, b) in seen:
-                duplicates += 1
-                continue
-            seen.add((a, b))
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
+        edges = list(edges)
+        try:
+            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        except OverflowError:
+            raise GraphError(f"edge ids out of range for {n} vertices") from None
+        if len(flat) != 2 * len(edges):
+            raise GraphError("edges must be pairs of vertex ids")
+        a, b = flat[0::2], flat[1::2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        out_of_range = (lo < 0) | (hi >= n)
+        bad = out_of_range | (lo >= n1) | (hi < n1)
+        if bad.any():
+            i = int(bad.argmax())
+            if out_of_range[i]:
+                raise GraphError(f"edge ({a[i]}, {b[i]}) out of range for {n} vertices")
+            raise GraphError(f"edge ({lo[i]}, {hi[i]}) does not join side 1 to side 2")
+        # one key per edge, ordered by (side-1 end, side-2 end)
+        key = lo * n2 + (hi - n1)
+        key.sort()
+        fresh = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        duplicates = len(key) - int(np.count_nonzero(fresh))
         if duplicates:
             if on_duplicate == "error":
                 raise GraphError(f"{duplicates} duplicate edge(s) in input")
@@ -200,10 +222,35 @@ class BipartiteGraph:
                 )
             elif on_duplicate != "ignore":
                 raise ValueError(f"unknown on_duplicate policy: {on_duplicate!r}")
-        for v, m in enumerate(masks):
-            if m == 0:
-                raise IsolatedVertexError(f"vertex {v} has no incident edge")
-        return cls(n1=n1, n2=n2, adj=tuple(masks))
+            key = key[fresh]
+        left, right = np.divmod(key, n2)
+        degrees = np.concatenate(
+            (np.bincount(left, minlength=n1), np.bincount(right, minlength=n2))
+        )
+        if not degrees.all():
+            v = int(np.argmin(degrees))
+            raise IsolatedVertexError(f"vertex {v} has no incident edge")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # side-1 rows come sorted with the keys; side-2 rows need the
+        # transposed order
+        transposed = right * n1 + left
+        transposed.sort()
+        indices = np.concatenate((right + n1, transposed % n1))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(n1=n1, n2=n2, adj=(indptr, indices))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return (self.n1, self.n2) == (other.n1, other.n2) and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(self.adj, other.adj)
+        )
+
+    def __hash__(self) -> int:
+        indptr, indices = self.adj
+        return hash((self.n1, self.n2, indptr.tobytes(), indices.tobytes()))
 
     @property
     def n(self) -> int:
@@ -221,24 +268,39 @@ class BipartiteGraph:
     def vertices(self) -> VertexSet:
         return VertexSet((1 << self.n) - 1)
 
+    def neighbor_ids(self, v: int) -> list[int]:
+        """Neighbours of ``v`` in ascending order."""
+        indptr, indices = self.adj
+        return indices[indptr[v]:indptr[v + 1]].tolist()
+
     def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.adj[v])
+        return VertexSet.from_ids(self.neighbor_ids(v))
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        indptr = self.adj[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def degrees_into(self, pool: VertexSet, subset: VertexSet) -> dict[int, int]:
         """Neighbour count inside ``subset`` of each member of ``pool``,
         keyed in ascending id order."""
-        adj, mask = self.adj, subset.mask
-        return {v: (adj[v] & mask).bit_count() for v in pool}
+        ids = pool.ids()
+        if not ids:
+            return {}
+        indptr, indices = self.adj
+        member = _bits(subset.mask, self.n)
+        # every row is non-empty (no isolated vertices), as reduceat needs
+        counts = np.add.reduceat(member[indices], indptr[:-1], dtype=np.int64).tolist()
+        return {v: counts[v] for v in ids}
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return len(self.adj[1]) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (side-1 id, side-2 id), sorted."""
-        return [(u, w) for u in range(self.n1) for w in self.neighbors(u)]
+        indptr, indices = self.adj
+        side1_rows = indptr[: self.n1 + 1]
+        left = np.repeat(np.arange(self.n1), np.diff(side1_rows))
+        return list(zip(left.tolist(), indices[: side1_rows[-1]].tolist()))
 
 
 def verify_residue(

@@ -266,8 +266,9 @@ def derandomize_subset(
     # vertices it can influence.
     touches: dict[int, list[int]] = {w: [] for w in members}
     for v in undecided:
-        for w in graph.neighbors(v) & members:
-            touches[w].append(v)
+        for w in graph.neighbor_ids(v):
+            if w in touches:
+                touches[w].append(v)
 
     kept = []
     for w in members:

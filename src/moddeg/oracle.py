@@ -58,10 +58,10 @@ def exact_max_order(
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = graph.n
     r, q = spec.residue, spec.modulus
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    neighbours = [graph.neighbor_ids(v) for v in range(n)]
     cur = [0] * n
-    und = [graph.degree(v) for v in range(n)]
-    neighbours = [graph.neighbors(v).ids() for v in range(n)]
+    und = [len(nbrs) for nbrs in neighbours]
+    order = sorted(range(n), key=lambda v: (-und[v], v))
 
     best_size = 0
     best_mask = 0
@@ -135,7 +135,7 @@ def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResul
     valid = np.ones(masks.shape, dtype=bool)
     for v in range(n):
         included = (masks >> np.uint64(v)) & np.uint64(1)
-        row = sum(1 << w for w in graph.neighbors(v))
+        row = sum(1 << w for w in graph.neighbor_ids(v))
         deg = np.bitwise_count(masks & np.uint64(row))
         valid &= (included == 0) | (deg % q == r)
     sizes = np.bitwise_count(masks)

@@ -217,9 +217,10 @@ def best_subset_score(g, deepest: VertexSet, scored: VertexSet, k: int) -> int:
     ids = list(deepest)
     local = []
     for v in scored:
+        neighbours = g.neighbors(v)
         mask = 0
         for i, w in enumerate(ids):
-            if g.adj[v] >> w & 1:
+            if w in neighbours:
                 mask |= 1 << i
         local.append(mask)
     best = 0

@@ -271,10 +271,13 @@ class TestBench:
         ({"k": [2], "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
          []),
         ({"k": 2}, ["--kind", "matching", "--count", "0"]),
+        ({"k": 2, "instances": [{"kind": "star", "params": {"rays": 3}}]}, []),
+        ({"k": 2}, ["--kind", "star", "--param", "rays=3"]),
     ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
             "spec-not-an-object", "unknown-kind", "count-not-an-integer",
             "count-zero", "params-not-an-object", "instances-not-a-list",
-            "k-not-an-integer", "inline-count-zero"])
+            "k-not-an-integer", "inline-count-zero", "unknown-generator-param",
+            "inline-unknown-generator-param"])
     def test_bad_run_parameters_are_usage_errors(self, spec, flags, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

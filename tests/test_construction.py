@@ -31,7 +31,7 @@ from moddeg import (
     verify_residue,
 )
 from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE
-from moddeg.generators import complete_bipartite, matching, star
+from moddeg.generators import complete_bipartite, matching, random_regularish, star
 
 
 def path4() -> BipartiteGraph:
@@ -81,10 +81,10 @@ class TestMinimalDominatingSet:
         for size in range(1, 4):
             for combo in itertools.combinations(g.side2, size):
                 mask = VertexSet.from_ids(combo)
-                if any(not g.adj[v] & mask.mask for v in g.side1):
+                if any(not g.neighbors(v) & mask for v in g.side1):
                     continue
                 proper = any(
-                    all(g.adj[v] & mask.remove(w).mask for v in g.side1)
+                    all(g.neighbors(v) & mask.remove(w) for v in g.side1)
                     for w in combo
                 )
                 if not proper:
@@ -106,20 +106,20 @@ class TestMinimalDominatingSet:
         doms, private_of = minimal_dominating_set(g, g.side1, g.side2)
         assert doms <= g.side2
         for v in g.side1:
-            assert g.adj[v] & doms.mask
+            assert g.neighbors(v) & doms
         assert set(private_of) == set(doms.ids())
         seen = set()
         for w, v in private_of.items():
             # sole dominator neighbour, and the smallest such target
             candidates = [
-                t for t in g.side1 if g.adj[t] & doms.mask == 1 << w
+                t for t in g.side1 if g.neighbors(t) & doms == VertexSet.single(w)
             ]
             assert v == candidates[0]
             assert v not in seen
             seen.add(v)
         for w in doms:
             shrunk = doms.remove(w)
-            assert any(not g.adj[v] & shrunk.mask for v in g.side1)
+            assert any(not g.neighbors(v) & shrunk for v in g.side1)
 
 
 class TestBuildChain:
@@ -153,7 +153,7 @@ class TestBuildChain:
             assert len(level.privates) == len(level.dominators)
             assert level.privates.isdisjoint(claimed)
             for w, v in level.private_of.items():
-                assert g.adj[v] & level.dominators.mask == 1 << w
+                assert g.neighbors(v) & level.dominators == VertexSet.single(w)
             claimed = claimed | level.privates
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
@@ -224,7 +224,7 @@ class TestRouteIngredients:
         cand = matching_candidate(chain)
         assert len(cand) == 2 * len(chain.levels[0].dominators)
         for v in cand:
-            assert (g.adj[v] & cand.mask).bit_count() == 1
+            assert len(g.neighbors(v) & cand) == 1
 
     def test_high_degree_threshold_is_inclusive(self):
         g = boundary_graph()
@@ -454,3 +454,18 @@ class TestFindModOneSubgraph:
         rich = trace.to_dict(verbose=True)
         assert rich["sets"]["subgraph"] == [1, 2, 3, 4, 5, 6]
         assert rich["sets"]["chosen"] == [6]
+
+
+class TestLargeInstance:
+    def test_both_modes_verify_at_a_hundred_thousand_vertices(self):
+        # n = 10^5: n-bit neighbourhood masks would need about n^2/8 bytes
+        g = random_regularish(66666, 33334, 3, random.Random(5))
+        assert (g.n, g.edge_count()) == (100_000, 200_087)
+        chain = build_chain(g, 3)
+        assert check_chain(g, chain) == []
+        floor = 2 * len(chain.levels[0].dominators)
+        for mode in ("sampled", "derandomized"):
+            vertices, trace = find_mod_one_subgraph(g, 3, mode=mode, seed=1)
+            assert verify_residue(g, vertices, ResidueSpec(1, 3)).ok
+            assert trace.vertices == vertices
+            assert len(vertices) >= floor

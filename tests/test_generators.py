@@ -94,8 +94,8 @@ class TestDispatch:
         g1, _ = generate("regularish", seed=3, n1=12, n2=8, degree=2)
         g2, _ = generate("regularish", seed=3, n1=12, n2=8, degree=2)
         g3, _ = generate("regularish", seed=4, n1=12, n2=8, degree=2)
-        assert g1.adj == g2.adj
-        assert g1.adj != g3.adj  # one collision would be astronomically unlucky
+        assert g1 == g2
+        assert g1 != g3  # one collision would be astronomically unlucky
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator"):

@@ -32,7 +32,6 @@ class TestVertexSet:
         assert (va <= vb) == (a <= b)
         assert va.isdisjoint(vb) == a.isdisjoint(b)
         assert len(va) == len(a)
-        assert va.max() == max(a, default=-1)
         assert (va == vb) == (a == b)
 
     @given(id_sets)
@@ -119,6 +118,57 @@ class TestFromEdges:
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n1 = 2
+
+    def test_value_semantics(self):
+        edges = [(0, 3), (1, 3), (1, 4), (2, 4)]
+        g = BipartiteGraph.from_edges(3, 2, edges)
+        shuffled = BipartiteGraph.from_edges(3, 2, [(4, 2), (3, 0), (4, 1), (1, 3)])
+        with pytest.warns(DuplicateEdgeWarning):
+            doubled = BipartiteGraph.from_edges(3, 2, edges + [(3, 1), (0, 3)])
+        assert g == shuffled == doubled
+        assert hash(g) == hash(shuffled) == hash(doubled)
+        assert len({g, shuffled, doubled}) == 1
+        assert g != BipartiteGraph.from_edges(3, 2, edges[:3] + [(2, 3)])
+        assert g != BipartiteGraph.from_edges(2, 3, [(0, 2), (0, 3), (1, 3), (1, 4)])
+        assert g != "graph"
+        for array in g.adj:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_csr_layout(self):
+        g = BipartiteGraph.from_edges(2, 2, [(1, 2), (3, 0), (0, 2)])
+        indptr, indices = g.adj
+        assert indptr.tolist() == [0, 2, 3, 5, 6]
+        assert indices.tolist() == [2, 3, 2, 0, 1, 0]
+        assert g.neighbor_ids(2) == [0, 1]
+        assert all(a.dtype == "int64" and a.flags.owndata for a in g.adj)
+
+    @given(st.data())
+    def test_matches_edge_set_reference(self, data):
+        n1 = data.draw(st.integers(1, 6))
+        n2 = data.draw(st.integers(1, 6))
+        drawn = data.draw(st.lists(st.tuples(
+            st.integers(0, n1 - 1), st.integers(n1, n1 + n2 - 1), st.booleans()
+        ), max_size=30))
+        edges = [(w, u) if flip else (u, w) for u, w, flip in drawn]
+        reference = {v: set() for v in range(n1 + n2)}
+        for a, b in edges:
+            reference[a].add(b)
+            reference[b].add(a)
+        if not all(reference.values()):
+            with pytest.raises(IsolatedVertexError):
+                BipartiteGraph.from_edges(n1, n2, edges, on_duplicate="ignore")
+            return
+        g = BipartiteGraph.from_edges(n1, n2, edges, on_duplicate="ignore")
+        subset = VertexSet.from_ids(data.draw(st.sets(st.integers(0, n1 + n2 - 1))))
+        for v, nbrs in reference.items():
+            assert g.neighbor_ids(v) == sorted(nbrs)
+            assert g.degree(v) == len(nbrs)
+        assert g.degrees_into(g.vertices, subset) == {
+            v: len(nbrs & set(subset)) for v, nbrs in reference.items()
+        }
+        assert g.edges() == sorted({(min(e), max(e)) for e in edges})
+        assert g.edge_count() == len(g.edges())
 
     @given(bipartite_graphs())
     def test_adjacency_is_symmetric_and_cross_side(self, g):

@@ -1,8 +1,9 @@
-"""The bitmask format of graphs and vertex sets stays inside ``graph.py``.
+"""The storage formats of graphs and vertex sets stay inside ``graph.py``.
 
-Every other module works through ``VertexSet`` operations,
-``BipartiteGraph.neighbors`` and ``BipartiteGraph.degrees_into``, so a new
-graph representation has to change one file only.
+Every other module, test and demo works through ``VertexSet`` operations,
+``BipartiteGraph.neighbor_ids``, ``BipartiteGraph.neighbors`` and
+``BipartiteGraph.degrees_into``, so a new graph representation has to change
+one file only.  ``tests/test_graph.py`` tests that file and is exempt.
 """
 
 from __future__ import annotations
@@ -15,11 +16,17 @@ import pytest
 import moddeg
 
 PACKAGE = Path(moddeg.__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "graph.py")
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
+SOURCES = sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "graph.py"]
+    + [p for p in TESTS.glob("*.py") if p.name != "test_graph.py"]
+    + list(DEMOS.glob("*.py"))
+)
 FORMAT_ATTRIBUTES = {"adj", "mask"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_bitmask_access_outside_graph_module(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     reads = [
@@ -27,4 +34,4 @@ def test_no_bitmask_access_outside_graph_module(path):
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in FORMAT_ATTRIBUTES
     ]
-    assert not reads, "bitmask format used outside graph.py:\n" + "\n".join(reads)
+    assert not reads, "graph or set format used outside graph.py:\n" + "\n".join(reads)
