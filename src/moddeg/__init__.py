@@ -21,6 +21,7 @@ from .construction import (
     ConstructionTrace,
     DominatingChain,
     DominationError,
+    Route,
     build_chain,
     check_chain,
     find_mod_one_subgraph,
@@ -91,6 +92,7 @@ __all__ = [
     "ResidueCheck",
     "ResidueDistribution",
     "ResidueSpec",
+    "Route",
     "UniformityCheck",
     "VertexSet",
     "build_chain",

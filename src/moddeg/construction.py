@@ -21,8 +21,9 @@ stages:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import mixing
@@ -42,13 +43,19 @@ class ChainLevel:
     """One level of the chain: dominators on side 2 matched to their privates.
 
     ``private_of[w]`` is the side-1 vertex whose only dominator-neighbour at
-    this level is ``w``; together the dominators and privates induce a
-    matching.
+    this level is ``w``; its keys are the dominators, its values the privates,
+    and together they induce a matching.
     """
 
-    dominators: VertexSet
-    privates: VertexSet
     private_of: Mapping[int, int]
+
+    @cached_property
+    def dominators(self) -> VertexSet:
+        return VertexSet.from_ids(self.private_of)
+
+    @cached_property
+    def privates(self) -> VertexSet:
+        return VertexSet.from_ids(self.private_of.values())
 
 
 @dataclass(frozen=True)
@@ -83,12 +90,12 @@ HEAVY_SHARE = Fraction(2, 3) - Fraction(1, 1000)
 
 def minimal_dominating_set(
     graph: BipartiteGraph, targets: VertexSet, candidates: VertexSet
-) -> tuple[VertexSet, dict[int, int]]:
+) -> ChainLevel:
     """Minimal subset of ``candidates`` dominating ``targets``, with privates.
 
     Starts from all candidates and removes them in ascending id order whenever
     removal keeps every target dominated, so the result is minimal but
-    deterministic.  Returns the set and a map from each kept dominator to its
+    deterministic.  Returns the level mapping each kept dominator to its
     smallest-id private target (a target whose only kept neighbour it is);
     minimality guarantees one exists for every kept dominator.
 
@@ -116,7 +123,7 @@ def minimal_dominating_set(
             private_of.setdefault(w, v)
     if len(private_of) != len(kept):
         raise ConstructionError("kept dominator without a private target")
-    return VertexSet.from_ids(kept), private_of
+    return ChainLevel(private_of)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -134,13 +141,10 @@ def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
     candidates = graph.side2
     levels = []
     for _ in range(k - 1):
-        dominators, private_of = minimal_dominating_set(graph, targets, candidates)
-        privates = VertexSet.from_ids(private_of.values())
-        levels.append(
-            ChainLevel(dominators=dominators, privates=privates, private_of=private_of)
-        )
-        targets = targets - privates
-        candidates = dominators
+        level = minimal_dominating_set(graph, targets, candidates)
+        levels.append(level)
+        targets = targets - level.privates
+        candidates = level.dominators
     return DominatingChain(k=k, levels=tuple(levels), remainder=targets)
 
 
@@ -163,15 +167,13 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
         doms, privs = level.dominators, level.privates
         if not doms <= previous:
             problems.append(f"level {idx}: dominators not nested in previous level")
-        if len(privs) != len(doms) or len(level.private_of) != len(doms):
+        if len(privs) != len(doms):
             problems.append(f"level {idx}: private count differs from dominator count")
         if not privs <= graph.side1:
             problems.append(f"level {idx}: privates stray off side 1")
         if not privs.isdisjoint(claimed):
             problems.append(f"level {idx}: privates overlap an earlier level")
         targets = graph.side1 - claimed
-        if VertexSet.from_ids(level.private_of.values()) != privs:
-            problems.append(f"level {idx}: private set disagrees with private map")
         dom_ids = set(doms)
         degrees = graph.degrees_into(targets, doms)
 
@@ -179,8 +181,6 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
             return [u for u in graph.neighbor_ids(v) if u in dom_ids]
 
         for w, v in level.private_of.items():
-            if w not in dom_ids:
-                problems.append(f"level {idx}: private map keyed by non-dominator {w}")
             if v not in degrees:
                 problems.append(f"level {idx}: private {v} was not a live target")
             if dominators_of(v) != [w]:
@@ -305,6 +305,19 @@ def fix_degrees(
     return VertexSet.from_ids(patch)
 
 
+@dataclass(frozen=True)
+class Route:
+    """One route's candidate and how it was built: route 1 (the induced
+    matching) sets only ``vertices``, the sampling routes every field."""
+
+    vertices: VertexSet
+    chosen: VertexSet | None = None
+    unit_targets: VertexSet | None = None
+    patch: VertexSet | None = None
+    expected: float | None = None
+    achieved: int | None = None
+
+
 @dataclass
 class ConstructionTrace:
     """Full record of one construction run.
@@ -313,8 +326,7 @@ class ConstructionTrace:
     half-density sampling of the high-degree targets, 3 dyadic-bucket
     sampling); ``analysis_case`` is the route the size analysis would have
     classified from ``MATCHING_SHARE`` and ``HEAVY_SHARE``, recorded for
-    reporting only.  The chosen/unit/patch sets belong to the winning
-    candidate; expected and achieved scores are kept for every sampled route.
+    reporting only.  ``routes`` holds every route that ran, keyed by case.
     """
 
     k: int
@@ -323,21 +335,35 @@ class ConstructionTrace:
     retries: int
     case: int
     analysis_case: int
-    candidate_sizes: dict[int, int | None]
     dominator_sizes: list[int]
     remainder_size: int
     heavy: VertexSet
     bucket_exponent: int | None
     bucket: VertexSet | None
-    chosen: VertexSet | None
-    unit_targets: VertexSet | None
-    patch: VertexSet | None
-    vertices: VertexSet = field(default_factory=VertexSet)
-    expected_scores: dict[int, float] = field(default_factory=dict)
-    achieved_scores: dict[int, int] = field(default_factory=dict)
+    routes: dict[int, Route]
+
+    @property
+    def vertices(self) -> VertexSet:
+        return self.routes[self.case].vertices
+
+    @property
+    def candidate_sizes(self) -> dict[int, int | None]:
+        sizes = {case: len(route.vertices) for case, route in self.routes.items()}
+        return {case: sizes.get(case) for case in (1, 2, 3)}
+
+    @property
+    def expected_scores(self) -> dict[int, float]:
+        return {c: r.expected for c, r in self.routes.items() if r.expected is not None}
+
+    @property
+    def achieved_scores(self) -> dict[int, int]:
+        return {c: r.achieved for c, r in self.routes.items() if r.achieved is not None}
 
     def to_dict(self, verbose: bool = False) -> dict:
         """JSON-ready summary; ``verbose`` adds sorted vertex-id arrays."""
+        win = self.routes[self.case]
+        optional = {"bucket": self.bucket, "chosen": win.chosen,
+                    "unit_targets": win.unit_targets, "patch": win.patch}
         out = {
             "schema_version": 1,
             "k": self.k,
@@ -352,27 +378,17 @@ class ConstructionTrace:
                 "dominators": self.dominator_sizes,
                 "remainder": self.remainder_size,
                 "heavy": len(self.heavy),
-                "bucket": None if self.bucket is None else len(self.bucket),
-                "chosen": None if self.chosen is None else len(self.chosen),
-                "unit_targets": (
-                    None if self.unit_targets is None else len(self.unit_targets)
-                ),
-                "patch": None if self.patch is None else len(self.patch),
-                "subgraph": len(self.vertices),
+                **{name: None if s is None else len(s) for name, s in optional.items()},
+                "subgraph": len(win.vertices),
             },
             "expected_scores": {str(c): v for c, v in self.expected_scores.items()},
             "achieved_scores": {str(c): v for c, v in self.achieved_scores.items()},
         }
         if verbose:
             out["sets"] = {
-                "subgraph": self.vertices.ids(),
+                "subgraph": win.vertices.ids(),
                 "heavy": self.heavy.ids(),
-                "bucket": None if self.bucket is None else self.bucket.ids(),
-                "chosen": None if self.chosen is None else self.chosen.ids(),
-                "unit_targets": (
-                    None if self.unit_targets is None else self.unit_targets.ids()
-                ),
-                "patch": None if self.patch is None else self.patch.ids(),
+                **{name: None if s is None else s.ids() for name, s in optional.items()},
             }
         return out
 
@@ -431,7 +447,7 @@ def find_mod_one_subgraph(
     rng = random.Random(seed)
     residue_spec = ResidueSpec(residue=1, modulus=k)
 
-    def run_route(scored: VertexSet, exponent: int):
+    def run_route(scored: VertexSet, exponent: int) -> Route:
         expected = mixing.expected_unit_score(graph, deepest, scored, k, exponent)
         if exponent == 0:
             chosen = deepest
@@ -449,44 +465,33 @@ def find_mod_one_subgraph(
                     chosen = draw
         units = unit_residue_targets(graph, chain.remainder, chosen, k)
         patch = fix_degrees(graph, chain, chosen, units)
-        candidate = patch | chosen | units
-        return candidate, chosen, units, patch, expected, len(units & scored)
+        return Route(
+            vertices=patch | chosen | units,
+            chosen=chosen,
+            unit_targets=units,
+            patch=patch,
+            expected=expected,
+            achieved=len(units & scored),
+        )
 
-    candidates: dict[int, tuple] = {}
-    expected_scores: dict[int, float] = {}
-    achieved_scores: dict[int, int] = {}
-
-    matching = matching_candidate(chain)
-    candidates[1] = (matching, None, None, None)
-
+    routes = {1: Route(vertices=matching_candidate(chain))}
     if heavy:
-        cand, chosen, units, patch, expected, achieved = run_route(heavy, 1)
-        candidates[2] = (cand, chosen, units, patch)
-        expected_scores[2] = expected
-        achieved_scores[2] = achieved
-
+        routes[2] = run_route(heavy, 1)
     bucket_exponent = None
     bucket = None
     if rest:
         bucket_exponent, bucket = largest_dyadic_bucket(
             graph, chain, rest, threshold_exponent=threshold_exponent
         )
-        cand, chosen, units, patch, expected, achieved = run_route(
-            bucket, bucket_exponent
-        )
-        candidates[3] = (cand, chosen, units, patch)
-        expected_scores[3] = expected
-        achieved_scores[3] = achieved
+        routes[3] = run_route(bucket, bucket_exponent)
 
     best_case = None
-    for case in sorted(candidates):
-        cand = candidates[case][0]
-        if not verify_residue(graph, cand, residue_spec):
+    for case, route in routes.items():
+        if not verify_residue(graph, route.vertices, residue_spec):
             raise ConstructionError(f"route {case} produced an invalid candidate")
-        if best_case is None or len(cand) > len(candidates[best_case][0]):
+        if best_case is None or len(route.vertices) > len(routes[best_case].vertices):
             best_case = case
 
-    subgraph, chosen, units, patch = candidates[best_case]
     trace = ConstructionTrace(
         k=k,
         mode=mode,
@@ -494,20 +499,11 @@ def find_mod_one_subgraph(
         retries=retries,
         case=best_case,
         analysis_case=_classify(graph, chain, heavy),
-        candidate_sizes={
-            case: len(candidates[case][0]) if case in candidates else None
-            for case in (1, 2, 3)
-        },
         dominator_sizes=chain.dominator_sizes(),
         remainder_size=len(chain.remainder),
         heavy=heavy,
         bucket_exponent=bucket_exponent,
         bucket=bucket,
-        chosen=chosen,
-        unit_targets=units,
-        patch=patch,
-        vertices=subgraph,
-        expected_scores=expected_scores,
-        achieved_scores=achieved_scores,
+        routes=routes,
     )
-    return subgraph, trace
+    return trace.vertices, trace

@@ -175,16 +175,13 @@ class BipartiteGraph:
         n1: int,
         n2: int,
         edges: Iterable[tuple[int, int]],
-        *,
-        on_duplicate: str = "warn",
     ) -> "BipartiteGraph":
         """Validate and build a graph from (side-1 id, side-2 id) pairs.
 
-        Edges may be given in either endpoint order.  Duplicates are handled
-        per ``on_duplicate``: "warn" (dedupe with a warning), "ignore"
-        (dedupe silently), or "error".  Raises if any edge fails to cross
-        sides or any vertex ends up isolated; an invalid edge is reported as
-        the first one in input order.
+        Edges may be given in either endpoint order.  Duplicates are dropped
+        with a :class:`DuplicateEdgeWarning`.  Raises if any edge fails to
+        cross sides or any vertex ends up isolated; an invalid edge is
+        reported as the first one in input order.
         """
         if n1 < 1 or n2 < 1:
             raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
@@ -212,16 +209,11 @@ class BipartiteGraph:
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
         duplicates = len(key) - int(np.count_nonzero(fresh))
         if duplicates:
-            if on_duplicate == "error":
-                raise GraphError(f"{duplicates} duplicate edge(s) in input")
-            if on_duplicate == "warn":
-                warnings.warn(
-                    f"deduplicated {duplicates} repeated edge(s)",
-                    DuplicateEdgeWarning,
-                    stacklevel=2,
-                )
-            elif on_duplicate != "ignore":
-                raise ValueError(f"unknown on_duplicate policy: {on_duplicate!r}")
+            warnings.warn(
+                f"deduplicated {duplicates} repeated edge(s)",
+                DuplicateEdgeWarning,
+                stacklevel=2,
+            )
             key = key[fresh]
         left, right = np.divmod(key, n2)
         degrees = np.concatenate(
@@ -340,9 +332,7 @@ def _parse_int_pair(line: str, lineno: int) -> tuple[int, int]:
         raise GraphError(f"line {lineno}: expected two integers, got {line!r}") from None
 
 
-def parse_graph(
-    text: str, *, permissive: bool = False, on_duplicate: str = "warn"
-) -> BipartiteGraph:
+def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
     """Parse an edge-list document into a validated :class:`BipartiteGraph`.
 
     Labeled format (default): the first non-comment line is the header
@@ -357,12 +347,11 @@ def parse_graph(
 
     In both formats the result is relabeled so side 1 is the side of larger
     cardinality; on ties, the side containing the smallest original vertex id
-    stays side 1.  Duplicate edges follow ``on_duplicate`` ("warn", "ignore",
-    or "error").
+    stays side 1.  Duplicate edges are dropped with a warning.
     """
     lines = _content_lines(text)
     if permissive:
-        return _parse_permissive(lines, on_duplicate)
+        return _parse_permissive(lines)
     if not lines:
         raise GraphError("empty document: missing 'n1 n2' header")
     header_no, header = lines[0]
@@ -390,12 +379,10 @@ def parse_graph(
         # Relabel so side 1 is the larger side: old side 2 becomes 0..n2-1.
         edges = [(v - n1, n2 + u) for (u, v) in edges]
         n1, n2 = n2, n1
-    return BipartiteGraph.from_edges(n1, n2, edges, on_duplicate=on_duplicate)
+    return BipartiteGraph.from_edges(n1, n2, edges)
 
 
-def _parse_permissive(
-    lines: list[tuple[int, str]], on_duplicate: str
-) -> BipartiteGraph:
+def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
     if not lines:
         raise GraphError("empty document: no edges")
     raw_edges = []
@@ -447,9 +434,7 @@ def _parse_permissive(
     for u, v in raw_edges:
         a, b = relabel[u], relabel[v]
         edges.append((a, b) if a < b else (b, a))
-    return BipartiteGraph.from_edges(
-        len(side1), len(side2), edges, on_duplicate=on_duplicate
-    )
+    return BipartiteGraph.from_edges(len(side1), len(side2), edges)
 
 
 def serialize_graph(graph: BipartiteGraph) -> str:

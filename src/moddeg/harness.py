@@ -203,7 +203,6 @@ def run_batch(
     seed: int = 0,
     retries: int = 16,
     oracle_max_n: int | None = None,
-    oracle_budget: int = 100_000_000,
 ) -> ExperimentReport:
     """Generate and solve every spec, re-verifying each result independently.
 
@@ -236,9 +235,7 @@ def run_batch(
             optimum = None
             optimum_exact = None
             if oracle_max_n is not None and graph.n <= oracle_max_n:
-                best = oracle.exact_max_order(
-                    graph, ResidueSpec(1, k), budget=oracle_budget
-                )
+                best = oracle.exact_max_order(graph, ResidueSpec(1, k))
                 optimum = best.order
                 optimum_exact = best.exact
             records.append(

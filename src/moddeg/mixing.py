@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,14 +52,15 @@ class ResidueDistribution:
     def probability(self, residue: int) -> float:
         return float(self.probs[residue % self.k])
 
-    def gap_to_uniform(self) -> float:
-        """max_r |P(sum = r mod k) - 1/k|."""
-        return float(np.abs(self.probs - 1.0 / self.k).max())
-
 
 def _validate(n: int, k: int, exponent: int, lowest_exponent: int = 1) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n > sys.float_info.max:  # phi(j)**n converts n to a double
+        raise ValueError(
+            f"n must fit a double (at most about 1.8e308), "
+            f"got a {n.bit_length()}-bit integer"
+        )
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
     if exponent < lowest_exponent:
@@ -172,6 +174,13 @@ def uniformity_check(k: int, threshold_exponent: int = 3) -> UniformityCheck:
         raise ValueError(f"modulus must be >= 2, got {k}")
     if threshold_exponent < 0:
         raise ValueError(f"threshold exponent must be >= 0, got {threshold_exponent}")
+    # k**e >= 2**(e * (bit_length(k) - 1)): tested before the power is built,
+    # so a huge exponent builds no big int; residue_distribution checks the rest
+    if threshold_exponent * (k.bit_length() - 1) >= sys.float_info.max_exp:
+        raise ValueError(
+            f"k**threshold_exponent = {k}**{threshold_exponent} does not fit a "
+            f"double (at most about 1.8e308)"
+        )
     n = k ** threshold_exponent
     probability = residue_distribution(n, k).probability(1)
     target = 1.0 / k

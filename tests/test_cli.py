@@ -88,6 +88,48 @@ class TestFind:
         assert payload["sets"]["chosen"] == [6]
         assert payload["sizes"]["subgraph"] == 6
 
+    # The whole `find --json --verbose` line, pinned byte for byte: K33 at
+    # k=3 is won by route 1 (route 3 ties it), star(6) at k=2 by route 3.
+    K33 = "3 3\n" + "".join(f"{u} {w}\n" for u in range(3) for w in range(3, 6))
+    K33_PAYLOAD = (
+        '{"achieved_scores": {"3": 1}, "analysis_case": 1, "bucket_exponent": 0, '
+        '"candidate_sizes": {"1": 2, "2": null, "3": 2}, "case": 1, '
+        '"expected_scores": {"3": 1.0}, "k": 3, "mode": "MODE", "retries": 16, '
+        '"schema_version": 1, "seed": SEED, "sets": {"bucket": [2], '
+        '"chosen": null, "heavy": [], "patch": null, "subgraph": [0, 5], '
+        '"unit_targets": null}, "sizes": {"bucket": 1, "chosen": null, '
+        '"dominators": [1, 1], "heavy": 0, "patch": null, "remainder": 1, '
+        '"subgraph": 2, "unit_targets": null}, "verified": true, '
+        '"vertices": [0, 5]}\n'
+    )
+    STAR_PAYLOAD = (
+        '{"achieved_scores": {"3": 5}, "analysis_case": 1, "bucket_exponent": 0, '
+        '"candidate_sizes": {"1": 2, "2": null, "3": 6}, "case": 3, '
+        '"expected_scores": {"3": 5.0}, "k": 2, "mode": "MODE", "retries": 16, '
+        '"schema_version": 1, "seed": SEED, "sets": {"bucket": [1, 2, 3, 4, 5], '
+        '"chosen": [6], "heavy": [], "patch": [], "subgraph": [1, 2, 3, 4, 5, 6], '
+        '"unit_targets": [1, 2, 3, 4, 5]}, "sizes": {"bucket": 5, "chosen": 1, '
+        '"dominators": [1], "heavy": 0, "patch": 0, "remainder": 5, '
+        '"subgraph": 6, "unit_targets": 5}, "verified": true, '
+        '"vertices": [1, 2, 3, 4, 5, 6]}\n'
+    )
+
+    @pytest.mark.parametrize("mode, seed", [("sampled", "0"), ("derandomized", "null")])
+    @pytest.mark.parametrize("graph", ["k33", "star"])
+    def test_full_verbose_payload(self, graph, mode, seed, star_file, tmp_path, capsys):
+        if graph == "k33":
+            path, k, want = tmp_path / "k33.txt", "3", self.K33_PAYLOAD
+            path.write_text(self.K33)
+        else:
+            path, k, want = star_file, "2", self.STAR_PAYLOAD
+        code, out, _ = run(
+            ["find", "--input", str(path), "--k", k, "--mode", mode, "--seed", "0",
+             "--json", "--verbose"],
+            capsys,
+        )
+        assert code == 0
+        assert out == want.replace("MODE", mode).replace("SEED", seed)
+
     def test_trace_file(self, star_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         code, out, _ = run(
@@ -316,6 +358,23 @@ class TestMixing:
         assert [row.split()[0] for row in rows] == ["k", "2", "3", "4", "5", "6"]
         assert "Traceback" not in err
         assert "k = " in err and "5" in err.split("k = ")[1].split(", ")
+
+
+    def test_threshold_exponent_up_to_the_largest_double(self, capsys):
+        code, out, err = run(
+            ["mixing", "--threshold-exponent", "646", "--k-max", "3"], capsys
+        )
+        assert code == 0
+        assert [row.split()[0] for row in out.strip().splitlines()] == ["k", "2", "3"]
+        assert err == ""
+
+    def test_threshold_exponent_beyond_a_double_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            ["mixing", "--threshold-exponent", "647", "--k-max", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestModuleEntryPoints:

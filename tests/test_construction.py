@@ -64,19 +64,19 @@ def staircase_graph() -> BipartiteGraph:
 class TestMinimalDominatingSet:
     def test_star_keeps_the_center(self):
         g = star(3, center_side=2)
-        doms, private_of = minimal_dominating_set(g, g.side1, g.side2)
-        assert set(doms) == {3}
-        assert private_of == {3: 0}
+        level = minimal_dominating_set(g, g.side1, g.side2)
+        assert set(level.dominators) == {3}
+        assert level.private_of == {3: 0}
 
     def test_matching_keeps_everything(self):
         g = matching(3)
-        doms, private_of = minimal_dominating_set(g, g.side1, g.side2)
-        assert doms == g.side2
-        assert private_of == {3: 0, 4: 1, 5: 2}
+        level = minimal_dominating_set(g, g.side1, g.side2)
+        assert level.dominators == g.side2
+        assert level.private_of == {3: 0, 4: 1, 5: 2}
 
     def test_complete_graph_vs_exhaustive_minimal_sets(self):
         g = complete_bipartite(3, 3)
-        doms, _ = minimal_dominating_set(g, g.side1, g.side2)
+        doms = minimal_dominating_set(g, g.side1, g.side2).dominators
         minimal_sets = []
         for size in range(1, 4):
             for combo in itertools.combinations(g.side2, size):
@@ -103,7 +103,8 @@ class TestMinimalDominatingSet:
     @given(bipartite_graphs(max_side1=8, max_side2=8))
     @settings(max_examples=80)
     def test_domination_minimality_privates(self, g):
-        doms, private_of = minimal_dominating_set(g, g.side1, g.side2)
+        level = minimal_dominating_set(g, g.side1, g.side2)
+        doms, private_of = level.dominators, level.private_of
         assert doms <= g.side2
         for v in g.side1:
             assert g.neighbors(v) & doms
@@ -177,11 +178,7 @@ class TestCheckChain:
 
     def test_flags_redundant_dominator(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(
-            dominators=VertexSet.from_ids([4, 5]),
-            privates=VertexSet.from_ids([0, 1]),
-            private_of={4: 0, 5: 1},
-        )
+        level = ChainLevel(private_of={4: 0, 5: 1})
         bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.single(2))
         problems = check_chain(g, bad)
         # in K33 no vertex is private to anyone once two dominators stay
@@ -196,23 +193,21 @@ class TestCheckChain:
 
     def test_flags_overlapping_privates(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(
-            dominators=VertexSet.single(5),
-            privates=VertexSet.single(0),
-            private_of={5: 0},
-        )
+        level = ChainLevel(private_of={5: 0})
         bad = DominatingChain(
             k=3, levels=(level, level), remainder=g.side1 - VertexSet.single(0)
         )
         assert any("overlap" in p for p in check_chain(g, bad))
 
+    def test_flags_private_shared_by_two_dominators(self):
+        g = complete_bipartite(3, 3)
+        level = ChainLevel(private_of={4: 0, 5: 0})
+        bad = DominatingChain(k=2, levels=(level,), remainder=g.side1 - level.privates)
+        assert any("private count differs" in p for p in check_chain(g, bad))
+
     def test_flags_broken_domination(self):
         g = matching(3)
-        level = ChainLevel(
-            dominators=VertexSet.single(3),
-            privates=VertexSet.single(0),
-            private_of={3: 0},
-        )
+        level = ChainLevel(private_of={3: 0})
         bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.from_ids([1, 2]))
         assert any("undominated" in p for p in check_chain(g, bad))
 
@@ -392,7 +387,7 @@ class TestFindModOneSubgraph:
             )
             assert set(vertices) == {0, 1, 2, 3, 7}
             assert trace.case == 3
-            assert set(trace.patch) == {0, 1}
+            assert set(trace.routes[3].patch) == {0, 1}
 
     def test_derandomized_modes_are_deterministic(self):
         g = boundary_graph()

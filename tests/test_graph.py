@@ -107,12 +107,6 @@ class TestFromEdges:
         with pytest.warns(DuplicateEdgeWarning):
             g = BipartiteGraph.from_edges(1, 1, edges)
         assert g.edge_count() == 1
-        with pytest.raises(GraphError):
-            BipartiteGraph.from_edges(1, 1, edges, on_duplicate="error")
-        g = BipartiteGraph.from_edges(1, 1, edges, on_duplicate="ignore")
-        assert g.edge_count() == 1
-        with pytest.raises(ValueError):
-            BipartiteGraph.from_edges(1, 1, edges, on_duplicate="bogus")
 
     def test_immutable(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
@@ -143,6 +137,7 @@ class TestFromEdges:
         assert g.neighbor_ids(2) == [0, 1]
         assert all(a.dtype == "int64" and a.flags.owndata for a in g.adj)
 
+    @pytest.mark.filterwarnings("ignore::moddeg.DuplicateEdgeWarning")
     @given(st.data())
     def test_matches_edge_set_reference(self, data):
         n1 = data.draw(st.integers(1, 6))
@@ -157,9 +152,9 @@ class TestFromEdges:
             reference[b].add(a)
         if not all(reference.values()):
             with pytest.raises(IsolatedVertexError):
-                BipartiteGraph.from_edges(n1, n2, edges, on_duplicate="ignore")
+                BipartiteGraph.from_edges(n1, n2, edges)
             return
-        g = BipartiteGraph.from_edges(n1, n2, edges, on_duplicate="ignore")
+        g = BipartiteGraph.from_edges(n1, n2, edges)
         subset = VertexSet.from_ids(data.draw(st.sets(st.integers(0, n1 + n2 - 1))))
         for v, nbrs in reference.items():
             assert g.neighbor_ids(v) == sorted(nbrs)

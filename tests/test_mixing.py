@@ -63,6 +63,14 @@ class TestResidueDistribution:
             for r in range(k):
                 assert abs(dist.probability(r) - float(exact[r])) < 1e-12
 
+    def test_n_beyond_a_double_is_rejected(self):
+        for f in (mixing.residue_distribution, mixing.fourier_gap_bound):
+            with pytest.raises(ValueError, match="fit a double"):
+                f(3**700, 3)
+        assert mixing.residue_distribution(3**646, 3).probability(1) == pytest.approx(
+            1 / 3, abs=1e-12
+        )
+
     def test_large_n_smoke(self):
         dist = mixing.residue_distribution(10**6, 25)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -172,6 +180,12 @@ class TestUniformityCheck:
             mixing.uniformity_check(1)
         with pytest.raises(ValueError):
             mixing.uniformity_check(3, threshold_exponent=-1)
+
+    def test_exponent_beyond_a_double_is_rejected(self):
+        assert mixing.uniformity_check(2, threshold_exponent=1023).passed
+        for k, exponent in ((2, 1024), (3, 647), (25, 10**12)):
+            with pytest.raises(ValueError, match="fit a double"):
+                mixing.uniformity_check(k, threshold_exponent=exponent)
 
 
 def brute_conditional_expectation(
