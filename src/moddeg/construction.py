@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from . import mixing
 from .graph import BipartiteGraph, ResidueSpec, VertexSet, verify_residue
 
@@ -102,10 +104,11 @@ def minimal_dominating_set(
     Raises :class:`DominationError` if some target has no candidate
     neighbour at all.
     """
-    live = graph.degrees_into(targets, candidates)
-    for v, c in live.items():
-        if c == 0:
-            raise DominationError(f"target {v} has no neighbour among candidates")
+    ids, counts = graph.degrees_into(targets, candidates)
+    if not counts.all():
+        v = int(ids[counts.argmin()])
+        raise DominationError(f"target {v} has no neighbour among candidates")
+    live = dict(zip(ids.tolist(), counts.tolist()))
 
     kept: set[int] = set()
     for w in candidates:
@@ -175,22 +178,22 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
             problems.append(f"level {idx}: privates overlap an earlier level")
         targets = graph.side1 - claimed
         dom_ids = set(doms)
-        degrees = graph.degrees_into(targets, doms)
+        ids, degrees = graph.degrees_into(targets, doms)
+        target_ids = set(ids.tolist())
 
         def dominators_of(v: int) -> list[int]:
             return [u for u in graph.neighbor_ids(v) if u in dom_ids]
 
         for w, v in level.private_of.items():
-            if v not in degrees:
+            if v not in target_ids:
                 problems.append(f"level {idx}: private {v} was not a live target")
             if dominators_of(v) != [w]:
                 problems.append(
                     f"level {idx}: vertex {v} is not private to dominator {w}"
                 )
-        for v, d in degrees.items():
-            if d == 0:
-                problems.append(f"level {idx}: target {v} left undominated")
-        witnessed = {dominators_of(v)[0] for v, d in degrees.items() if d == 1}
+        for v in ids[degrees == 0].tolist():
+            problems.append(f"level {idx}: target {v} left undominated")
+        witnessed = {dominators_of(v)[0] for v in ids[degrees == 1].tolist()}
         for w in doms:
             if w not in witnessed:
                 problems.append(
@@ -214,14 +217,21 @@ def matching_candidate(chain: DominatingChain) -> VertexSet:
     return first.dominators | first.privates
 
 
+def _threshold(k: int, exponent: int, degrees: np.ndarray) -> int:
+    """k**min(exponent, B) for B the bit length of the largest degree: as
+    k**B > every degree, it splits ``degrees`` as k**exponent does."""
+    largest = int(degrees.max(initial=0))
+    return k ** min(exponent, largest.bit_length())
+
+
 def high_degree_targets(
     graph: BipartiteGraph, chain: DominatingChain, *, threshold_exponent: int = 3
 ) -> VertexSet:
     """Remainder vertices with at least k**threshold_exponent neighbours in
     the deepest dominator level."""
-    threshold = chain.k ** threshold_exponent
-    degrees = graph.degrees_into(chain.remainder, chain.deepest)
-    return VertexSet.from_ids(v for v, d in degrees.items() if d >= threshold)
+    ids, degrees = graph.degrees_into(chain.remainder, chain.deepest)
+    threshold = _threshold(chain.k, threshold_exponent, degrees)
+    return VertexSet.from_ids(ids[degrees >= threshold])
 
 
 def sample_subset(
@@ -244,8 +254,8 @@ def unit_residue_targets(
     graph: BipartiteGraph, pool: VertexSet, chosen: VertexSet, k: int
 ) -> VertexSet:
     """Members of ``pool`` whose neighbour count in ``chosen`` is 1 mod k."""
-    degrees = graph.degrees_into(pool, chosen)
-    return VertexSet.from_ids(v for v, d in degrees.items() if d % k == 1)
+    ids, degrees = graph.degrees_into(pool, chosen)
+    return VertexSet.from_ids(ids[degrees % k == 1])
 
 
 def largest_dyadic_bucket(
@@ -265,16 +275,19 @@ def largest_dyadic_bucket(
     """
     if not rest:
         raise ValueError("empty vertex set: no bucket to pick")
-    threshold = chain.k ** threshold_exponent
-    buckets: dict[int, list[int]] = {}
-    for v, d in graph.degrees_into(rest, chain.deepest).items():
-        if not 1 <= d < threshold:
-            raise ConstructionError(
-                f"vertex {v} has degree {d}, outside [1, {threshold})"
-            )
-        buckets.setdefault(d.bit_length() - 1, []).append(v)
-    exponent = max(buckets, key=lambda p: (len(buckets[p]), -p))
-    bucket = VertexSet.from_ids(buckets[exponent])
+    ids, degrees = graph.degrees_into(rest, chain.deepest)
+    threshold = _threshold(chain.k, threshold_exponent, degrees)
+    outside = (degrees < 1) | (degrees >= threshold)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ConstructionError(
+            f"vertex {ids[i]} has degree {degrees[i]}, outside [1, {threshold})"
+        )
+    # frexp's exponent is the bit length of an integer below 2**53
+    exponents = np.frexp(degrees)[1] - 1
+    # argmax takes the smallest exponent among the fullest buckets
+    exponent = int(np.bincount(exponents).argmax())
+    bucket = VertexSet.from_ids(ids[exponents == exponent])
     slots = threshold.bit_length()  # floor(log2(threshold)) + 1
     if len(bucket) * slots < len(rest):
         raise ConstructionError("dyadic bucket fell below its pigeonhole share")
@@ -298,10 +311,11 @@ def fix_degrees(
     k = chain.k
     if not chosen <= chain.deepest:
         raise ConstructionError("chosen dominators stray outside the deepest level")
+    ids, degrees = graph.degrees_into(chosen, unit_targets)
+    missing = (1 - degrees) % k
     patch = []
-    for u, d in graph.degrees_into(chosen, unit_targets).items():
-        missing = (1 - d) % k
-        patch.extend(level.private_of[u] for level in chain.levels[:missing])
+    for u, m in zip(ids.tolist(), missing.tolist()):
+        patch.extend(level.private_of[u] for level in chain.levels[:m])
     return VertexSet.from_ids(patch)
 
 

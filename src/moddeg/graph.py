@@ -11,12 +11,14 @@ from sorted ids goes through NumPy's bit packing instead of a walk over the
 bits.
 
 This module alone knows both formats.  The rest of the package works through
-:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids`,
-:meth:`BipartiteGraph.neighbors` and :meth:`BipartiteGraph.degrees_into`.
+:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` and
+:meth:`BipartiteGraph.degrees_into`, whose counts come back as ``int64``
+arrays aligned with the pool's ids.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -63,17 +65,15 @@ class VertexSet:
         self.mask = mask
 
     @classmethod
-    def from_ids(cls, ids: Iterable[int]) -> "VertexSet":
-        arr = np.fromiter(ids, dtype=np.int64)
-        if not arr.size:
+    def from_ids(cls, ids: Iterable[int] | np.ndarray) -> "VertexSet":
+        """The set of ``ids``, given as any iterable or an integer array."""
+        if not isinstance(ids, np.ndarray):
+            ids = np.fromiter(ids, dtype=np.int64)
+        if not ids.size:
             return cls()
         # bincount rejects negative ids; its nonzero entries are the members
-        packed = np.packbits(np.bincount(arr) != 0, bitorder="little")
+        packed = np.packbits(np.bincount(ids) != 0, bitorder="little")
         return cls(int.from_bytes(packed, "little"))
-
-    @classmethod
-    def single(cls, v: int) -> "VertexSet":
-        return cls(1 << v)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -105,12 +105,6 @@ class VertexSet:
 
     def __hash__(self) -> int:
         return hash(self.mask)
-
-    def add(self, v: int) -> "VertexSet":
-        return VertexSet(self.mask | (1 << v))
-
-    def remove(self, v: int) -> "VertexSet":
-        return VertexSet(self.mask & ~(1 << v))
 
     def isdisjoint(self, other: "VertexSet") -> bool:
         return self.mask & other.mask == 0
@@ -174,9 +168,10 @@ class BipartiteGraph:
         cls,
         n1: int,
         n2: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
     ) -> "BipartiteGraph":
-        """Validate and build a graph from (side-1 id, side-2 id) pairs.
+        """Validate and build a graph from (side-1 id, side-2 id) pairs, or
+        from an ``(E, 2)`` integer array with one edge per row.
 
         Edges may be given in either endpoint order.  Duplicates are dropped
         with a :class:`DuplicateEdgeWarning`.  Raises if any edge fails to
@@ -186,14 +181,18 @@ class BipartiteGraph:
         if n1 < 1 or n2 < 1:
             raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
         n = n1 + n2
-        edges = list(edges)
-        try:
-            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        except OverflowError:
-            raise GraphError(f"edge ids out of range for {n} vertices") from None
-        if len(flat) != 2 * len(edges):
-            raise GraphError("edges must be pairs of vertex ids")
-        a, b = flat[0::2], flat[1::2]
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+            try:
+                flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+            except OverflowError:
+                raise GraphError(f"edge ids out of range for {n} vertices") from None
+            if len(flat) != 2 * len(edges):
+                raise GraphError("edges must be pairs of vertex ids")
+            edges = flat.reshape(-1, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
+            raise GraphError("edges must be pairs of signed integer vertex ids")
+        a, b = edges.astype(np.int64, copy=False).T
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         out_of_range = (lo < 0) | (hi >= n)
         bad = out_of_range | (lo >= n1) | (hi < n1)
@@ -265,24 +264,20 @@ class BipartiteGraph:
         indptr, indices = self.adj
         return indices[indptr[v]:indptr[v + 1]].tolist()
 
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_ids(self.neighbor_ids(v))
-
-    def degree(self, v: int) -> int:
-        indptr = self.adj[0]
-        return int(indptr[v + 1] - indptr[v])
-
-    def degrees_into(self, pool: VertexSet, subset: VertexSet) -> dict[int, int]:
-        """Neighbour count inside ``subset`` of each member of ``pool``,
-        keyed in ascending id order."""
-        ids = pool.ids()
-        if not ids:
-            return {}
+    def degrees_into(
+        self, pool: VertexSet, subset: VertexSet
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The members of ``pool`` in ascending order and each one's
+        neighbour count inside ``subset``, as two aligned ``int64`` arrays."""
+        if not pool:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        ids = _bits(pool.mask).nonzero()[0].astype(np.int64, copy=False)
         indptr, indices = self.adj
         member = _bits(subset.mask, self.n)
         # every row is non-empty (no isolated vertices), as reduceat needs
-        counts = np.add.reduceat(member[indices], indptr[:-1], dtype=np.int64).tolist()
-        return {v: counts[v] for v in ids}
+        counts = np.add.reduceat(member[indices], indptr[:-1], dtype=np.int64)
+        return ids, counts[ids]
 
     def edge_count(self) -> int:
         return len(self.adj[1]) // 2
@@ -305,11 +300,41 @@ def verify_residue(
     otherwise reports the smallest offending vertex id with its residue.
     An empty subset passes vacuously.
     """
-    for v, d in graph.degrees_into(subset, subset).items():
-        r = d % spec.modulus
-        if r != spec.residue:
-            return ResidueCheck(ok=False, witness=v, witness_residue=r)
+    ids, counts = graph.degrees_into(subset, subset)
+    # a modulus above every count, which may not fit int64, leaves them as is
+    residues = counts % spec.modulus if spec.modulus < graph.n else counts
+    wrong = residues != spec.residue
+    if wrong.any():
+        i = int(wrong.argmax())
+        return ResidueCheck(
+            ok=False, witness=int(ids[i]), witness_residue=int(residues[i])
+        )
     return ResidueCheck(ok=True)
+
+
+# The characters str.splitlines() ends a line at.  Every one is whitespace,
+# so outside comments the pattern below only has to keep to spaces and tabs.
+_LINE_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+# A line that is not blank, a comment, or two tokens split by spaces or tabs,
+# when lines end in "\n" or "\r\n".
+_IRREGULAR_LINE = re.compile(
+    rf"^(?![ \t]*(?:#[^{_LINE_BREAKS}]*|\S+[ \t]+\S+[ \t]*)?\r?$)", re.MULTILINE
+)
+_COMMENT_LINE = re.compile(r"^[ \t]*#.*", re.MULTILINE)
+
+
+def _tokenize(text: str) -> np.ndarray | None:
+    """The content lines of ``text`` as an ``(L, 2)`` int64 array, or None
+    unless :data:`_IRREGULAR_LINE` finds no line and every token fits int64.
+    NumPy reads a token as ``int()`` does, so the per-line reading agrees."""
+    if _IRREGULAR_LINE.search(text):
+        return None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    try:
+        return np.array(text.split(), dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -323,13 +348,11 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_int_pair(line: str, lineno: int) -> tuple[int, int]:
-    parts = line.split()
-    if len(parts) != 2:
-        raise GraphError(f"line {lineno}: expected two integers, got {line!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        u, v = map(int, line.split())  # a token count other than two fails too
     except ValueError:
         raise GraphError(f"line {lineno}: expected two integers, got {line!r}") from None
+    return u, v
 
 
 def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
@@ -347,11 +370,43 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
 
     In both formats the result is relabeled so side 1 is the side of larger
     cardinality; on ties, the side containing the smallest original vertex id
-    stays side 1.  Duplicate edges are dropped with a warning.
+    stays side 1.  Duplicate edges are dropped with a warning.  Errors name
+    the first bad line and vertices by their ids in the document.
     """
-    lines = _content_lines(text)
+    rows = _tokenize(text)
     if permissive:
-        return _parse_permissive(lines)
+        return _parse_permissive(text, rows)
+    return _parse_labeled(text, rows)
+
+
+def _parse_labeled(text: str, rows: np.ndarray | None) -> BipartiteGraph:
+    valid = rows is not None and len(rows) > 0
+    if valid:  # the checks of _read_labeled_lines, on every row at once
+        (n1, n2), u, v = rows[0].tolist(), rows[1:, 0], rows[1:, 1]
+        valid = 1 <= min(n1, n2) and max(n1, n2) <= len(u) and bool(
+            ((0 <= u) & (u < n1) & (n1 <= v) & (v < n1 + n2)).all()
+        )
+    if not valid:
+        # the per-line reading names the first bad line, or reads a document
+        # the tokenizer declined
+        rows = np.array(_read_labeled_lines(text), dtype=np.int64)
+    (n1, n2), edges = rows[0].tolist(), rows[1:]
+    if n2 > n1:
+        # an isolated vertex is named before the sides swap
+        isolated = np.bincount(edges.ravel(), minlength=n1 + n2) == 0
+        if isolated.any():
+            v = int(isolated.argmax())
+            raise IsolatedVertexError(f"vertex {v} has no incident edge")
+        # old side 2 becomes 0..n2-1 and old side 1 follows it
+        edges = np.column_stack((edges[:, 1] - n1, edges[:, 0] + n2))
+        n1, n2 = n2, n1
+    return BipartiteGraph.from_edges(n1, n2, edges)
+
+
+def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
+    """The header and edge rows of a labeled document, read line by line;
+    raises :class:`GraphError` naming the first bad line."""
+    lines = _content_lines(text)
     if not lines:
         raise GraphError("empty document: missing 'n1 n2' header")
     header_no, header = lines[0]
@@ -365,7 +420,7 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
             f"line {header_no}: header declares sides of {n1} and {n2} vertices "
             f"but only {len(lines) - 1} edge lines follow"
         )
-    edges = []
+    rows = [(n1, n2)]
     for lineno, line in lines[1:]:
         u, v = _parse_int_pair(line, lineno)
         if not (0 <= u < n1):
@@ -374,26 +429,30 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
             raise GraphError(
                 f"line {lineno}: vertex {v} outside side 2 range [{n1}, {n1 + n2})"
             )
-        edges.append((u, v))
-    if n2 > n1:
-        # Relabel so side 1 is the larger side: old side 2 becomes 0..n2-1.
-        edges = [(v - n1, n2 + u) for (u, v) in edges]
-        n1, n2 = n2, n1
-    return BipartiteGraph.from_edges(n1, n2, edges)
+        rows.append((u, v))
+    return rows
 
 
-def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
-    if not lines:
-        raise GraphError("empty document: no edges")
-    raw_edges = []
+def _parse_permissive(text: str, rows: np.ndarray | None) -> BipartiteGraph:
+    fast = rows is not None and len(rows) > 0
+    if fast and (rows >= 0).all() and (rows[:, 0] != rows[:, 1]).all():
+        raw_edges = rows.tolist()
+    else:
+        # the per-line reading names the first bad line; it also reads ids
+        # beyond int64
+        lines = _content_lines(text)
+        if not lines:
+            raise GraphError("empty document: no edges")
+        raw_edges = []
+        for lineno, line in lines:
+            u, v = _parse_int_pair(line, lineno)
+            if u == v:
+                raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
+            if u < 0 or v < 0:
+                raise GraphError(f"line {lineno}: negative vertex id")
+            raw_edges.append((u, v))
     adjacency: dict[int, set[int]] = {}
-    for lineno, line in lines:
-        u, v = _parse_int_pair(line, lineno)
-        if u == v:
-            raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex id")
-        raw_edges.append((u, v))
+    for u, v in raw_edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
 
@@ -430,10 +489,7 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
     side2 = sorted(group_b)
     relabel = {v: i for i, v in enumerate(side1)}
     relabel.update({v: len(side1) + i for i, v in enumerate(side2)})
-    edges = []
-    for u, v in raw_edges:
-        a, b = relabel[u], relabel[v]
-        edges.append((a, b) if a < b else (b, a))
+    edges = [(relabel[u], relabel[v]) for u, v in raw_edges]
     return BipartiteGraph.from_edges(len(side1), len(side2), edges)
 
 

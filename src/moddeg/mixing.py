@@ -237,11 +237,13 @@ def expected_unit_score(
 ) -> float:
     """Expected number of scored vertices whose degree into a random subset
     of ``members`` (each kept with probability 2^-exponent) is 1 mod k."""
-    degrees = list(graph.degrees_into(scored, members).values())
-    if not degrees:
+    _, degrees = graph.degrees_into(scored, members)
+    if not degrees.size:
         return 0.0
-    table = residue_table(max(degrees), k, exponent)
-    return float(sum(table[d, 1 % k] for d in degrees))
+    table = residue_table(int(degrees.max()), k, exponent)
+    # a running sum adds left to right in ascending id order, as the score
+    # always has; a plain array sum would add pairwise
+    return float(np.cumsum(table[degrees, 1 % k])[-1])
 
 
 def derandomize_subset(
@@ -266,7 +268,8 @@ def derandomize_subset(
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
 
-    undecided = graph.degrees_into(scored, members)
+    ids, counts = graph.degrees_into(scored, members)
+    undecided = dict(zip(ids.tolist(), counts.tolist()))
     needed = {v: 1 % k for v in undecided}
     max_deg = max(undecided.values(), default=0)
     table = residue_table(max_deg, k, exponent)

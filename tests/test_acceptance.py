@@ -217,7 +217,7 @@ def best_subset_score(g, deepest: VertexSet, scored: VertexSet, k: int) -> int:
     ids = list(deepest)
     local = []
     for v in scored:
-        neighbours = g.neighbors(v)
+        neighbours = set(g.neighbor_ids(v))
         mask = 0
         for i, w in enumerate(ids):
             if w in neighbours:

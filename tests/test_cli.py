@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -166,6 +167,12 @@ class TestFind:
         code, _, err = run(["find", "--input", str(bad), "--k", "2"], capsys)
         assert code == 2
 
+    def test_isolated_vertex_named_as_in_the_file(self, capsys, monkeypatch):
+        # the sides are swapped after reading; vertex 4 is the isolated one
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 3\n0 2\n1 3\n0 3\n"))
+        code, out, err = run(["find", "--k", "2"], capsys)
+        assert (code, out, err) == (2, "", "error: vertex 4 has no incident edge\n")
+
     def test_header_larger_than_edge_list(self, tmp_path, capsys):
         path = tmp_path / "huge_header.txt"
         path.write_text("1000000 1\n0 1000000\n")
@@ -173,6 +180,20 @@ class TestFind:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+    def test_huge_threshold_exponent_acts_as_any_exponent_above_every_degree(
+        self, star_file, capsys
+    ):
+        outputs = []
+        for exponent in ("64", "1000000000000"):
+            code, out, _ = run(
+                ["find", "--input", str(star_file), "--k", "3",
+                 "--threshold-exponent", exponent, "--json", "--verbose"],
+                capsys,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_threshold_exponent_below_one(self, star_file, capsys):
         code, out, err = run(
@@ -183,6 +204,77 @@ class TestFind:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestByteIdentity:
+    """sha256 of whole outputs at fixed seeds: a change to any id, count or
+    printed float digit shows here."""
+
+    FIND = {
+        ("2000,1000,3", 2, "sampled"):
+            "48eaa17de44f5b21b77b4c88ba067f83e3ca83670b73bba304fa3d41890fa835",
+        ("2000,1000,3", 2, "derandomized"):
+            "5426bd472d642d963fe765192fbe91a8a77d9e5b879522cabde67be7a9ca2583",
+        ("2000,1000,3", 3, "sampled"):
+            "f43991d75484a8614772d7804ea928429d44906b305bf9093faddbfa2469d220",
+        ("2000,1000,3", 3, "derandomized"):
+            "d1a7bbc517910a8925c56399309e812b271e038c86e4caf9137fbf87345fa90a",
+        ("2000,1000,3", 5, "sampled"):
+            "d2ece6c7e1f36250411fbaf99de2ee66927635ec317750cca088e23fafa72ad0",
+        ("2000,1000,3", 5, "derandomized"):
+            "a94e16cf422532acf2a1cd4f042b1f7c8fdc2444aa4c29c94fb2a87c0adfefb2",
+        ("800,80,40", 2, "sampled"):
+            "30fefa8274c73819a0962cf7959bce4ddbf5a81d52cb08fd63928d08109d77ff",
+        ("800,80,40", 2, "derandomized"):
+            "4b89e854b8cbbee0357cdd1c1543d441db74519eebcd702c2d15fc1ec6724ae9",
+        ("800,80,40", 3, "sampled"):
+            "a60f9fd0828c3cf6e9e0edd31027a24ca668c2aeb077322e2501c2d4433aa6d9",
+        ("800,80,40", 3, "derandomized"):
+            "eac4fe1b4242213f7605923f2ce0e9ed74fb96e03386e83686bf0ea6d2cd5000",
+        ("800,80,40", 5, "sampled"):
+            "ed566cb2a359647d1f3f32d79d30e335e9f6d35b8489abe65077eae65669987e",
+        ("800,80,40", 5, "derandomized"):
+            "c8d36f709079452bed7f89e9cba84b1b47dd95e9929f7a5cce4d14d09b26e335",
+    }
+    BENCH = "66263ba7b5ce40b976277935b7f598a854c69d227b02301a0a3c24d7e7697545"
+
+    @staticmethod
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def regularish(self, tmp_path_factory):
+        paths = {}
+        for sizes in {key[0] for key in self.FIND}:
+            n1, n2, degree = sizes.split(",")
+            paths[sizes] = tmp_path_factory.mktemp("regularish") / "graph.txt"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--kind", "regularish", "--seed", "1",
+                             "--param", f"n1={n1}", "--param", f"n2={n2}",
+                             "--param", f"degree={degree}",
+                             "--out", str(paths[sizes])]) == 0
+        return paths
+
+    @pytest.mark.parametrize("sizes, k, mode", sorted(FIND))
+    def test_find_json_verbose(self, sizes, k, mode, regularish, capsys):
+        code, out, _ = run(
+            ["find", "--input", str(regularish[sizes]), "--k", str(k), "--mode", mode,
+             "--seed", "1", "--json", "--verbose"],
+            capsys,
+        )
+        assert code == 0
+        assert self.sha256(out) == self.FIND[sizes, k, mode]
+
+    def test_bench_json_with_oracle(self, capsys, monkeypatch):
+        monkeypatch.delenv("MODDEG_SEED", raising=False)
+        code, out, _ = run(
+            ["bench", "--kind", "random", "--param", "n1=16", "--param", "n2=10",
+             "--param", "p=0.25", "--count", "20", "--k", "3",
+             "--oracle-max-n", "30", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert self.sha256(out) == self.BENCH
 
 
 class TestOracle:

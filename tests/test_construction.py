@@ -34,6 +34,10 @@ from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE
 from moddeg.generators import complete_bipartite, matching, random_regularish, star
 
 
+def nbrs(g: BipartiteGraph, v: int) -> VertexSet:
+    return VertexSet.from_ids(g.neighbor_ids(v))
+
+
 def path4() -> BipartiteGraph:
     # 0 - 2 - 1 - 3
     return BipartiteGraph.from_edges(2, 2, [(0, 2), (1, 2), (1, 3)])
@@ -81,24 +85,24 @@ class TestMinimalDominatingSet:
         for size in range(1, 4):
             for combo in itertools.combinations(g.side2, size):
                 mask = VertexSet.from_ids(combo)
-                if any(not g.neighbors(v) & mask for v in g.side1):
+                if any(not nbrs(g, v) & mask for v in g.side1):
                     continue
                 proper = any(
-                    all(g.neighbors(v) & mask.remove(w) for v in g.side1)
+                    all(nbrs(g, v) & (mask - VertexSet.from_ids([w])) for v in g.side1)
                     for w in combo
                 )
                 if not proper:
                     minimal_sets.append(mask)
         # dual route: every minimal dominating set of K33 is a singleton
         assert minimal_sets == [
-            VertexSet.single(3), VertexSet.single(4), VertexSet.single(5)
+            VertexSet.from_ids([3]), VertexSet.from_ids([4]), VertexSet.from_ids([5])
         ]
         assert doms in minimal_sets
 
     def test_undominatable_target_raises(self):
         g = path4()
         with pytest.raises(DominationError):
-            minimal_dominating_set(g, g.side1, VertexSet.single(3))
+            minimal_dominating_set(g, g.side1, VertexSet.from_ids([3]))
 
     @given(bipartite_graphs(max_side1=8, max_side2=8))
     @settings(max_examples=80)
@@ -107,20 +111,20 @@ class TestMinimalDominatingSet:
         doms, private_of = level.dominators, level.private_of
         assert doms <= g.side2
         for v in g.side1:
-            assert g.neighbors(v) & doms
+            assert nbrs(g, v) & doms
         assert set(private_of) == set(doms.ids())
         seen = set()
         for w, v in private_of.items():
             # sole dominator neighbour, and the smallest such target
             candidates = [
-                t for t in g.side1 if g.neighbors(t) & doms == VertexSet.single(w)
+                t for t in g.side1 if nbrs(g, t) & doms == VertexSet.from_ids([w])
             ]
             assert v == candidates[0]
             assert v not in seen
             seen.add(v)
         for w in doms:
-            shrunk = doms.remove(w)
-            assert any(not g.neighbors(v) & shrunk for v in g.side1)
+            shrunk = doms - VertexSet.from_ids([w])
+            assert any(not nbrs(g, v) & shrunk for v in g.side1)
 
 
 class TestBuildChain:
@@ -154,7 +158,7 @@ class TestBuildChain:
             assert len(level.privates) == len(level.dominators)
             assert level.privates.isdisjoint(claimed)
             for w, v in level.private_of.items():
-                assert g.neighbors(v) & level.dominators == VertexSet.single(w)
+                assert nbrs(g, v) & level.dominators == VertexSet.from_ids([w])
             claimed = claimed | level.privates
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
@@ -179,7 +183,7 @@ class TestCheckChain:
     def test_flags_redundant_dominator(self):
         g = complete_bipartite(3, 3)
         level = ChainLevel(private_of={4: 0, 5: 1})
-        bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.single(2))
+        bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.from_ids([2]))
         problems = check_chain(g, bad)
         # in K33 no vertex is private to anyone once two dominators stay
         assert any("not private" in p for p in problems)
@@ -195,7 +199,7 @@ class TestCheckChain:
         g = complete_bipartite(3, 3)
         level = ChainLevel(private_of={5: 0})
         bad = DominatingChain(
-            k=3, levels=(level, level), remainder=g.side1 - VertexSet.single(0)
+            k=3, levels=(level, level), remainder=g.side1 - VertexSet.from_ids([0])
         )
         assert any("overlap" in p for p in check_chain(g, bad))
 
@@ -219,7 +223,7 @@ class TestRouteIngredients:
         cand = matching_candidate(chain)
         assert len(cand) == 2 * len(chain.levels[0].dominators)
         for v in cand:
-            assert len(g.neighbors(v) & cand) == 1
+            assert len(nbrs(g, v) & cand) == 1
 
     def test_high_degree_threshold_is_inclusive(self):
         g = boundary_graph()
@@ -253,7 +257,9 @@ class TestRouteIngredients:
         assert bucket <= rest
         slots = (k ** 3).bit_length()
         assert len(bucket) * slots >= len(rest)
-        for d in g.degrees_into(bucket, chain.deepest).values():
+        members, degrees = g.degrees_into(bucket, chain.deepest)
+        assert members.tolist() == bucket.ids()
+        for d in degrees.tolist():
             assert d.bit_length() - 1 == exponent
 
     def test_sample_exponent_zero_is_identity(self):
@@ -286,7 +292,7 @@ class TestRouteIngredients:
         g = complete_bipartite(3, 3)
         pool = g.side1
         assert unit_residue_targets(g, pool, g.side2, 3) == VertexSet()
-        assert unit_residue_targets(g, pool, VertexSet.single(4), 3) == pool
+        assert unit_residue_targets(g, pool, VertexSet.from_ids([4]), 3) == pool
         assert unit_residue_targets(g, pool, g.side2, 2) == pool
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
@@ -294,7 +300,7 @@ class TestRouteIngredients:
     def test_unit_residue_targets_recount(self, g, k):
         chosen = VertexSet.from_ids(w for w in g.side2 if w % 2)
         got = unit_residue_targets(g, g.side1, chosen, k)
-        want = {v for v, d in g.degrees_into(g.side1, chosen).items() if d % k == 1}
+        want = {v for v in g.side1 if len(nbrs(g, v) & chosen) % k == 1}
         assert set(got) == want
 
 
@@ -311,7 +317,7 @@ class TestFixDegrees:
     def test_zero_need_leaves_no_patch(self):
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
-        patch = fix_degrees(g, chain, chain.deepest, VertexSet.single(2))
+        patch = fix_degrees(g, chain, chain.deepest, VertexSet.from_ids([2]))
         assert patch == VertexSet()
 
     def test_single_edge_patch(self):
@@ -324,7 +330,7 @@ class TestFixDegrees:
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
         with pytest.raises(ConstructionError):
-            fix_degrees(g, chain, VertexSet.single(4), VertexSet())
+            fix_degrees(g, chain, VertexSet.from_ids([4]), VertexSet())
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)

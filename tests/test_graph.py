@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import bipartite_graphs
 from moddeg.graph import (
@@ -41,10 +43,10 @@ class TestVertexSet:
     def test_membership_add_remove(self):
         s = VertexSet.from_ids([1, 5])
         assert 5 in s and 2 not in s
-        assert set(s.add(2)) == {1, 2, 5}
-        assert set(s.remove(5)) == {1}
+        assert set(s | VertexSet.from_ids([2])) == {1, 2, 5}
+        assert set(s - VertexSet.from_ids([5])) == {1}
         assert set(s) == {1, 5}  # originals untouched
-        assert VertexSet.single(7).mask == 1 << 7
+        assert VertexSet.from_ids([7]).mask == 1 << 7
 
     def test_len_is_popcount(self):
         assert len(VertexSet(0b1011011)) == 0b1011011.bit_count()
@@ -55,7 +57,7 @@ class TestVertexSet:
 
     def test_truthiness_and_hash(self):
         assert not VertexSet()
-        assert VertexSet.single(0)
+        assert VertexSet.from_ids([0])
         assert hash(VertexSet.from_ids([2, 3])) == hash(VertexSet(0b1100))
 
 
@@ -76,7 +78,7 @@ class TestFromEdges:
         g = BipartiteGraph.from_edges(3, 3, [(u, 3 + w) for u in range(3) for w in range(3)])
         assert (g.n1, g.n2, g.n) == (3, 3, 6)
         assert g.edge_count() == 9
-        assert all(g.degree(v) == 3 for v in range(6))
+        assert all(len(g.neighbor_ids(v)) == 3 for v in range(6))
         assert set(g.side1) == {0, 1, 2}
         assert set(g.side2) == {3, 4, 5}
         assert set(g.vertices) == set(range(6))
@@ -158,20 +160,21 @@ class TestFromEdges:
         subset = VertexSet.from_ids(data.draw(st.sets(st.integers(0, n1 + n2 - 1))))
         for v, nbrs in reference.items():
             assert g.neighbor_ids(v) == sorted(nbrs)
-            assert g.degree(v) == len(nbrs)
-        assert g.degrees_into(g.vertices, subset) == {
-            v: len(nbrs & set(subset)) for v, nbrs in reference.items()
-        }
+        ids, counts = g.degrees_into(g.vertices, subset)
+        assert ids.dtype == counts.dtype == "int64"
+        assert ids.tolist() == list(reference)
+        members = set(subset)
+        assert counts.tolist() == [len(nbrs & members) for nbrs in reference.values()]
         assert g.edges() == sorted({(min(e), max(e)) for e in edges})
         assert g.edge_count() == len(g.edges())
 
     @given(bipartite_graphs())
     def test_adjacency_is_symmetric_and_cross_side(self, g):
         for v in range(g.n):
-            for u in g.neighbors(v):
-                assert v in g.neighbors(u)
+            for u in g.neighbor_ids(v):
+                assert v in g.neighbor_ids(u)
                 assert (v < g.n1) != (u < g.n1)
-            assert g.degree(v) >= 1
+            assert len(g.neighbor_ids(v)) >= 1
 
 
 class TestDegreeQueries:
@@ -179,18 +182,26 @@ class TestDegreeQueries:
     def test_degree_in_additive_over_disjoint_sets(self, g, a, b):
         va = VertexSet.from_ids(a) & g.vertices
         vb = (VertexSet.from_ids(b) & g.vertices) - va
-        union, left, right = (g.degrees_into(g.vertices, s) for s in (va | vb, va, vb))
-        assert list(union) == list(range(g.n))
+        (ids, union), (_, left), (_, right) = (
+            g.degrees_into(g.vertices, s) for s in (va | vb, va, vb)
+        )
+        assert ids.tolist() == list(range(g.n))
         for v in range(g.n):
-            assert union[v] == left[v] + right[v] == len(g.neighbors(v) & (va | vb))
+            recount = len(set(g.neighbor_ids(v)) & set(va | vb))
+            assert union[v] == left[v] + right[v] == recount
 
     def test_empty_and_full(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 3)])
-        one = VertexSet.single(0)
-        assert g.degrees_into(one, VertexSet()) == {0: 0}
-        assert g.degrees_into(one, g.vertices) == {0: g.degree(0)} == {0: 2}
-        assert g.degrees_into(one, VertexSet.from_ids([2, 3])) == {0: 2}
-        assert g.degrees_into(VertexSet(), g.vertices) == {}
+        def pairs(pool, subset):
+            ids, counts = g.degrees_into(pool, subset)
+            assert ids.dtype == counts.dtype == "int64"
+            return list(zip(ids.tolist(), counts.tolist()))
+
+        one = VertexSet.from_ids([0])
+        assert pairs(one, VertexSet()) == [(0, 0)]
+        assert pairs(one, g.vertices) == [(0, len(g.neighbor_ids(0)))] == [(0, 2)]
+        assert pairs(one, VertexSet.from_ids([2, 3])) == [(0, 2)]
+        assert pairs(VertexSet(), g.vertices) == []
 
 
 class TestVerifyResidue:
@@ -214,13 +225,19 @@ class TestVerifyResidue:
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
         assert verify_residue(g, VertexSet(), ResidueSpec(1, 5))
 
+    def test_modulus_beyond_int64(self):
+        g = BipartiteGraph.from_edges(1, 2, [(0, 1), (0, 2)])
+        assert verify_residue(g, VertexSet.from_ids([0, 1]), ResidueSpec(1, 10**20))
+        check = verify_residue(g, g.vertices, ResidueSpec(1, 10**20))
+        assert (check.ok, check.witness, check.witness_residue) == (False, 0, 2)
+
     @given(bipartite_graphs(), id_sets, st.integers(2, 6), st.integers(0, 5))
     def test_agrees_with_naive_recount(self, g, raw, q, r):
         subset = VertexSet.from_ids(raw) & g.vertices
         spec = ResidueSpec(r % q, q)
         members = set(subset)
         naive_ok = all(
-            len(set(g.neighbors(v)) & members) % q == spec.residue for v in members
+            len(set(g.neighbor_ids(v)) & members) % q == spec.residue for v in members
         )
         assert bool(verify_residue(g, subset, spec)) == naive_ok
 
@@ -254,7 +271,7 @@ class TestParseLabeled:
     def test_relabels_larger_side_first(self):
         g = parse_graph("1 3\n0 1\n0 2\n0 3\n")
         assert (g.n1, g.n2) == (3, 1)
-        assert g.degree(3) == 3  # the old center is now the side-2 hub
+        assert len(g.neighbor_ids(3)) == 3  # the old center is now the side-2 hub
 
     def test_duplicate_edge_warns(self):
         with pytest.warns(DuplicateEdgeWarning):
@@ -288,11 +305,145 @@ class TestParsePermissive:
         # vertex 0's side must stay side 1
         g = parse_graph("0 9\n5 6\n", permissive=True)
         assert (g.n1, g.n2) == (2, 2)
-        assert g.degrees_into(VertexSet.single(0), g.side2) == {0: 1}
+        ids, counts = g.degrees_into(VertexSet.from_ids([0]), g.side2)
+        assert (ids.tolist(), counts.tolist()) == ([0], [1])
 
     def test_empty_document(self):
         with pytest.raises(GraphError):
             parse_graph("", permissive=True)
+
+
+class TestParseMessages:
+    """Every way a document is refused, with its exact message, and the
+    spellings of a valid document that must all read as the same graph."""
+
+    @pytest.mark.parametrize("text, permissive, error, message", [
+        ("", False, GraphError, "empty document: missing 'n1 n2' header"),
+        ("# nothing\n\n", False, GraphError, "empty document: missing 'n1 n2' header"),
+        ("5\n0 1\n", False, GraphError, "line 1: expected two integers, got '5'"),
+        ("2 2 2\n0 2\n1 3\n", False, GraphError,
+         "line 1: expected two integers, got '2 2 2'"),
+        ("# c\n\n2 x\n0 2\n", False, GraphError,
+         "line 3: expected two integers, got '2 x'"),
+        ("2 2\n0 2\n1 two\n", False, GraphError,
+         "line 3: expected two integers, got '1 two'"),
+        ("2 2\n0 2\n1 3 3\n", False, GraphError,
+         "line 3: expected two integers, got '1 3 3'"),
+        ("2 2\n0 2\n1\n", False, GraphError, "line 3: expected two integers, got '1'"),
+        ("2 2\n0 2\n1 3.0\n", False, GraphError,
+         "line 3: expected two integers, got '1 3.0'"),
+        ("2 2\n0 2 # x\n1 3\n", False, GraphError,
+         "line 2: expected two integers, got '0 2 # x'"),
+        ("2 2\r\n0 2\r\n1 x\r\n", False, GraphError,
+         "line 3: expected two integers, got '1 x'"),
+        ("0 2\n0 1\n", False, GraphError, "line 1: sides must be positive, got 0 2"),
+        ("2 -1\n0 2\n", False, GraphError, "line 1: sides must be positive, got 2 -1"),
+        ("3 1\n0 3\n1 3\n", False, GraphError,
+         "line 1: header declares sides of 3 and 1 vertices "
+         "but only 2 edge lines follow"),
+        ("1000000 1\n0 1000000\n", False, GraphError,
+         "line 1: header declares sides of 1000000 and 1 vertices "
+         "but only 1 edge lines follow"),
+        ("99999999999999999999 1\n0 1\n", False, GraphError,
+         "line 1: header declares sides of 99999999999999999999 and 1 vertices "
+         "but only 1 edge lines follow"),
+        ("2 2\n0 2\n2 3\n", False, GraphError,
+         "line 3: vertex 2 outside side 1 range [0, 2)"),
+        ("2 2\n0 2\n-1 3\n", False, GraphError,
+         "line 3: vertex -1 outside side 1 range [0, 2)"),
+        ("2 2\n0 2\n99999999999999999999 3\n", False, GraphError,
+         "line 3: vertex 99999999999999999999 outside side 1 range [0, 2)"),
+        ("2 2\n0 2\n1 1\n", False, GraphError,
+         "line 3: vertex 1 outside side 2 range [2, 4)"),
+        ("2 2\n0 2\n1 4\n", False, GraphError,
+         "line 3: vertex 4 outside side 2 range [2, 4)"),
+        ("2 2\n0 2\n1 99999999999999999999\n", False, GraphError,
+         "line 3: vertex 99999999999999999999 outside side 2 range [2, 4)"),
+        # the first bad line wins, whatever is wrong with it
+        ("2 2\n0 2\n0 9\n1 x\n", False, GraphError,
+         "line 3: vertex 9 outside side 2 range [2, 4)"),
+        ("2 2\n0 2\n1 x\n0 9\n", False, GraphError,
+         "line 3: expected two integers, got '1 x'"),
+        ("3 2\n0 3\n1 3\n0 4\n", False, IsolatedVertexError,
+         "vertex 2 has no incident edge"),
+        # the sides are swapped after reading, but the message names the
+        # vertex as the file does
+        ("2 3\n0 2\n1 3\n0 3\n", False, IsolatedVertexError,
+         "vertex 4 has no incident edge"),
+        ("", True, GraphError, "empty document: no edges"),
+        ("# only\n", True, GraphError, "empty document: no edges"),
+        ("0 x\n", True, GraphError, "line 1: expected two integers, got '0 x'"),
+        ("0 0\n", True, NotBipartiteError, "line 1: self-loop at vertex 0"),
+        ("1 2\n3 3\n-1 4\n", True, NotBipartiteError, "line 2: self-loop at vertex 3"),
+        ("-1 -1\n", True, NotBipartiteError, "line 1: self-loop at vertex -1"),
+        ("-1 2\n", True, GraphError, "line 1: negative vertex id"),
+        ("1 2\n2 -5\n", True, GraphError, "line 2: negative vertex id"),
+        ("0 1\n1 2\n2 0\n", True, NotBipartiteError,
+         "vertices 2 and 1 are adjacent but forced to one side"),
+    ])
+    def test_rejected_with_exact_message(self, text, permissive, error, message):
+        with pytest.raises(error) as caught:
+            parse_graph(text, permissive=permissive)
+        assert str(caught.value) == message
+
+    TWO_EDGES = BipartiteGraph.from_edges(2, 2, [(0, 2), (1, 3)])
+    STAR = BipartiteGraph.from_edges(3, 1, [(0, 3), (1, 3), (2, 3)])
+
+    @pytest.mark.parametrize("text, permissive, want", [
+        ("2 2\n0 2\n1 3\n", False, TWO_EDGES),
+        ("2 2\n0 2\n1 3", False, TWO_EDGES),
+        ("# c\n\n2 2\n\n0 2\n  # mid\n1 3\n# end", False, TWO_EDGES),
+        ("2\t2\n0\t2\n1 \t 3\n", False, TWO_EDGES),
+        ("  2 2  \n 0 2\n1 3 \n", False, TWO_EDGES),
+        ("2 2\r\n0 2\r\n1 3\r\n", False, TWO_EDGES),
+        ("+2 2\n+0 +2\n1 3\n", False, TWO_EDGES),
+        ("2 2\n0 2\n1 0_3\n", False, TWO_EDGES),
+        ("2 2\n0 2\n1 \u0663\n", False, TWO_EDGES),
+        ("2\xa02\n0 2\n1 3\n", False, TWO_EDGES),
+        ("2 2\u20280 2\u20281 3", False, TWO_EDGES),
+        # a comment ends at any line break, so the edge after it counts
+        ("2 2\n0 2\n1 3\n# c\u20281 2\n", False,
+         BipartiteGraph.from_edges(2, 2, [(0, 2), (1, 3), (1, 2)])),
+        ("1 3\n0 1\n0 2\n0 3\n", False, STAR),
+        ("10 20\n11 21\n", True, TWO_EDGES),
+        ("# c\r\n3 7\r\n\r\n7 3\r\n7 5\r\n0 7\r\n", True, STAR),
+        ("0 99999999999999999999\n", True, BipartiteGraph.from_edges(1, 1, [(0, 1)])),
+    ])
+    def test_accepted_spellings(self, text, permissive, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateEdgeWarning)
+            assert parse_graph(text, permissive=permissive) == want
+
+    @staticmethod
+    def outcome(text, permissive):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DuplicateEdgeWarning)
+                return parse_graph(text, permissive=permissive)
+        except GraphError as exc:
+            return type(exc), str(exc)
+
+    _token = st.sampled_from(
+        ["0", "1", "2", "3", "4", "+1", "02", "-1", "1_0", "x", "#", "2.0",
+         "99999999999999999999", "\u0663"]
+    )
+    _line = st.tuples(
+        st.sampled_from(["", " ", "\t", "#"]),
+        st.lists(_token, max_size=3),
+        st.sampled_from([" ", "\t", " \t "]),
+    ).map(lambda parts: parts[0] + parts[2].join(parts[1]))
+    _edge = st.tuples(st.integers(0, 1), st.integers(2, 3)).map("{0[0]} {0[1]}".format)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_line, _edge, _edge, _edge), max_size=8),
+           st.sampled_from(["2 2", "2 2", "2 3", "3 2"]), st.booleans())
+    def test_agrees_with_the_line_by_line_reading(self, lines, header, permissive):
+        text = "\n".join([header] + lines)
+        # U+2028 ends a line for str.splitlines, as "\n" does, but the
+        # tokenizer declines it, so this spelling takes the per-line reading
+        assert self.outcome(text, permissive) == self.outcome(
+            text.replace("\n", "\u2028"), permissive
+        )
 
 
 class TestSerialize:

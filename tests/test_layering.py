@@ -1,8 +1,8 @@
 """The storage formats of graphs and vertex sets stay inside ``graph.py``.
 
 Every other module, test and demo works through ``VertexSet`` operations,
-``BipartiteGraph.neighbor_ids``, ``BipartiteGraph.neighbors`` and
-``BipartiteGraph.degrees_into``, so a new graph representation has to change
+``BipartiteGraph.neighbor_ids`` and ``BipartiteGraph.degrees_into`` (ids and
+counts as aligned int64 arrays), so a new graph representation has to change
 one file only.  ``tests/test_graph.py`` tests that file and is exempt.
 """
 

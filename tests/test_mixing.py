@@ -200,11 +200,11 @@ def brute_conditional_expectation(
     """Independent evaluator: expected hit count with the undecided members
     independently kept at 2^-exponent, via the binomial pmf per vertex."""
     total = Fraction(0)
-    pool = VertexSet.from_ids(scored)
-    current = graph.degrees_into(pool, kept)
-    open_count = graph.degrees_into(pool, VertexSet.from_ids(undecided))
     for v in scored:
-        total += binomial_residue(open_count[v], k, exponent, (1 - current[v]) % k)
+        neighbours = set(graph.neighbor_ids(v))
+        current = len(neighbours & set(kept))
+        open_count = len(neighbours & set(undecided))
+        total += binomial_residue(open_count, k, exponent, (1 - current) % k)
     return total
 
 
@@ -224,7 +224,9 @@ class TestDerandomize:
         members, scored = g.side2, g.side1
         expectation = mixing.expected_unit_score(g, members, scored, k, exponent)
         kept = mixing.derandomize_subset(g, members, scored, k, exponent)
-        achieved = sum(1 for d in g.degrees_into(scored, kept).values() if d % k == 1)
+        achieved = sum(
+            1 for v in scored if len(set(g.neighbor_ids(v)) & set(kept)) % k == 1
+        )
         assert achieved >= expectation - 1e-9
 
     @given(bipartite_graphs(max_side1=6, max_side2=6), st.integers(2, 4))
@@ -241,10 +243,10 @@ class TestDerandomize:
             w = remaining[0]
             rest = remaining[1:]
             e_keep = brute_conditional_expectation(
-                g, scored, kept.add(w), dropped, rest, k, exponent
+                g, scored, kept | VertexSet.from_ids([w]), dropped, rest, k, exponent
             )
             e_drop = brute_conditional_expectation(
-                g, scored, kept, dropped.add(w), rest, k, exponent
+                g, scored, kept, dropped | VertexSet.from_ids([w]), rest, k, exponent
             )
             # martingale identity: branch average equals the pre-decision value
             e_now = brute_conditional_expectation(
@@ -253,9 +255,9 @@ class TestDerandomize:
             q = Fraction(1, 2**exponent)
             assert q * e_keep + (1 - q) * e_drop == e_now
             if e_keep > e_drop:
-                kept = kept.add(w)
+                kept = kept | VertexSet.from_ids([w])
             else:
-                dropped = dropped.add(w)
+                dropped = dropped | VertexSet.from_ids([w])
             remaining = rest
         assert mixing.derandomize_subset(g, members, g.side1, k, exponent) == kept
 
@@ -282,7 +284,7 @@ class TestExpectedUnitScore:
             )
             weight = q ** len(subset) * (1 - q) ** (len(member_ids) - len(subset))
             hits = sum(
-                1 for d in g.degrees_into(scored, subset).values() if d % k == 1
+                1 for v in scored if len(set(g.neighbor_ids(v)) & set(subset)) % k == 1
             )
             total += weight * hits
         assert abs(got - float(total)) < 1e-9
@@ -290,3 +292,18 @@ class TestExpectedUnitScore:
     def test_empty_scored(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
         assert mixing.expected_unit_score(g, g.side2, VertexSet(), 3, 1) == 0.0
+
+    def test_adds_left_to_right_in_ascending_id_order(self):
+        # degrees up to 60 at exponents 2 and 3 give table entries that round,
+        # so another order of the additions shows in the last digits
+        m = 60
+        degrees = [1 + (7 * i) % m for i in range(90)]
+        n1 = len(degrees)
+        edges = [(i, n1 + j) for i, d in enumerate(degrees) for j in range(d)]
+        g = BipartiteGraph.from_edges(n1, m, edges)
+        for k, exponent in [(3, 2), (4, 3)]:
+            table = mixing.residue_table(m, k, exponent)
+            want = 0.0
+            for d in degrees:  # scored vertex i has degree degrees[i]
+                want += float(table[d, 1 % k])
+            assert mixing.expected_unit_score(g, g.side2, g.side1, k, exponent) == want
