@@ -255,7 +255,8 @@ def unit_residue_targets(
 ) -> VertexSet:
     """Members of ``pool`` whose neighbour count in ``chosen`` is 1 mod k."""
     ids, degrees = graph.degrees_into(pool, chosen)
-    return VertexSet.from_ids(ids[degrees % k == 1])
+    # every degree is below n, so a k beyond int64 acts as n does
+    return VertexSet.from_ids(ids[degrees % min(k, graph.n) == 1])
 
 
 def largest_dyadic_bucket(
@@ -280,8 +281,10 @@ def largest_dyadic_bucket(
     outside = (degrees < 1) | (degrees >= threshold)
     if outside.any():
         i = int(outside.argmax())
+        # the message names the documented bound, not the clamped one
         raise ConstructionError(
-            f"vertex {ids[i]} has degree {degrees[i]}, outside [1, {threshold})"
+            f"vertex {ids[i]} has degree {degrees[i]}, "
+            f"outside [1, {chain.k ** threshold_exponent})"
         )
     # frexp's exponent is the bit length of an integer below 2**53
     exponents = np.frexp(degrees)[1] - 1
@@ -312,10 +315,10 @@ def fix_degrees(
     if not chosen <= chain.deepest:
         raise ConstructionError("chosen dominators stray outside the deepest level")
     ids, degrees = graph.degrees_into(chosen, unit_targets)
-    missing = (1 - degrees) % k
     patch = []
-    for u, m in zip(ids.tolist(), missing.tolist()):
-        patch.extend(level.private_of[u] for level in chain.levels[:m])
+    for u, d in zip(ids.tolist(), degrees.tolist()):
+        missing = (1 - d) % k
+        patch.extend(level.private_of[u] for level in chain.levels[:missing])
     return VertexSet.from_ids(patch)
 
 

@@ -38,6 +38,10 @@ class NotBipartiteError(GraphError):
 class IsolatedVertexError(GraphError):
     """A vertex with no incident edge; all algorithms here require degree >= 1."""
 
+    def __init__(self, vertex: int):
+        super().__init__(f"vertex {vertex} has no incident edge")
+        self.vertex = vertex
+
 
 class DuplicateEdgeWarning(UserWarning):
     """An edge appeared more than once in the input and was deduplicated."""
@@ -219,8 +223,7 @@ class BipartiteGraph:
             (np.bincount(left, minlength=n1), np.bincount(right, minlength=n2))
         )
         if not degrees.all():
-            v = int(np.argmin(degrees))
-            raise IsolatedVertexError(f"vertex {v} has no incident edge")
+            raise IsolatedVertexError(int(np.argmin(degrees)))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         # side-1 rows come sorted with the keys; side-2 rows need the
@@ -301,8 +304,8 @@ def verify_residue(
     An empty subset passes vacuously.
     """
     ids, counts = graph.degrees_into(subset, subset)
-    # a modulus above every count, which may not fit int64, leaves them as is
-    residues = counts % spec.modulus if spec.modulus < graph.n else counts
+    # every count is below n, so a modulus beyond int64 acts as n does
+    residues = counts % min(spec.modulus, graph.n)
     wrong = residues != spec.residue
     if wrong.any():
         i = int(wrong.argmax())
@@ -348,11 +351,13 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_int_pair(line: str, lineno: int) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphError(f"line {lineno}: expected two integers, got {line!r}")
     try:
-        u, v = map(int, line.split())  # a token count other than two fails too
+        return int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphError(f"line {lineno}: expected two integers, got {line!r}") from None
-    return u, v
 
 
 def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
@@ -373,13 +378,9 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
     stays side 1.  Duplicate edges are dropped with a warning.  Errors name
     the first bad line and vertices by their ids in the document.
     """
-    rows = _tokenize(text)
     if permissive:
-        return _parse_permissive(text, rows)
-    return _parse_labeled(text, rows)
-
-
-def _parse_labeled(text: str, rows: np.ndarray | None) -> BipartiteGraph:
+        return _parse_permissive(_content_lines(text))
+    rows = _tokenize(text)
     valid = rows is not None and len(rows) > 0
     if valid:  # the checks of _read_labeled_lines, on every row at once
         (n1, n2), u, v = rows[0].tolist(), rows[1:, 0], rows[1:, 1]
@@ -391,16 +392,14 @@ def _parse_labeled(text: str, rows: np.ndarray | None) -> BipartiteGraph:
         # the tokenizer declined
         rows = np.array(_read_labeled_lines(text), dtype=np.int64)
     (n1, n2), edges = rows[0].tolist(), rows[1:]
-    if n2 > n1:
-        # an isolated vertex is named before the sides swap
-        isolated = np.bincount(edges.ravel(), minlength=n1 + n2) == 0
-        if isolated.any():
-            v = int(isolated.argmax())
-            raise IsolatedVertexError(f"vertex {v} has no incident edge")
-        # old side 2 becomes 0..n2-1 and old side 1 follows it
-        edges = np.column_stack((edges[:, 1] - n1, edges[:, 0] + n2))
-        n1, n2 = n2, n1
-    return BipartiteGraph.from_edges(n1, n2, edges)
+    if n2 <= n1:
+        return BipartiteGraph.from_edges(n1, n2, edges)
+    # relabel so side 1 is the larger side: old side 2 becomes 0..n2-1
+    try:
+        return BipartiteGraph.from_edges(n2, n1, edges[:, ::-1] + (-n1, n2))
+    except IsolatedVertexError as exc:  # name the vertex as the document does
+        v = exc.vertex
+        raise IsolatedVertexError(v + n1 if v < n2 else v - n2) from None
 
 
 def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
@@ -433,26 +432,18 @@ def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
     return rows
 
 
-def _parse_permissive(text: str, rows: np.ndarray | None) -> BipartiteGraph:
-    fast = rows is not None and len(rows) > 0
-    if fast and (rows >= 0).all() and (rows[:, 0] != rows[:, 1]).all():
-        raw_edges = rows.tolist()
-    else:
-        # the per-line reading names the first bad line; it also reads ids
-        # beyond int64
-        lines = _content_lines(text)
-        if not lines:
-            raise GraphError("empty document: no edges")
-        raw_edges = []
-        for lineno, line in lines:
-            u, v = _parse_int_pair(line, lineno)
-            if u == v:
-                raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
-            if u < 0 or v < 0:
-                raise GraphError(f"line {lineno}: negative vertex id")
-            raw_edges.append((u, v))
+def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
+    if not lines:
+        raise GraphError("empty document: no edges")
+    raw_edges = []
     adjacency: dict[int, set[int]] = {}
-    for u, v in raw_edges:
+    for lineno, line in lines:
+        u, v = _parse_int_pair(line, lineno)
+        if u == v:
+            raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: negative vertex id")
+        raw_edges.append((u, v))
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
 

@@ -246,6 +246,16 @@ class TestRouteIngredients:
         with pytest.raises(ValueError):
             largest_dyadic_bucket(g, chain, VertexSet())
 
+    def test_dyadic_bucket_names_the_unclamped_bound(self):
+        # vertex 1 has no neighbour in the deepest level {2}
+        g = matching(2)
+        chain = DominatingChain(
+            k=3, levels=(ChainLevel({2: 0}),), remainder=VertexSet.from_ids([1])
+        )
+        with pytest.raises(ConstructionError) as caught:
+            largest_dyadic_bucket(g, chain, chain.remainder, threshold_exponent=3)
+        assert str(caught.value) == "vertex 1 has degree 0, outside [1, 27)"
+
     @given(bipartite_graphs(max_side1=8, max_side2=8), st.integers(2, 4))
     @settings(max_examples=60)
     def test_dyadic_bucket_pigeonhole(self, g, k):
@@ -294,6 +304,8 @@ class TestRouteIngredients:
         assert unit_residue_targets(g, pool, g.side2, 3) == VertexSet()
         assert unit_residue_targets(g, pool, VertexSet.from_ids([4]), 3) == pool
         assert unit_residue_targets(g, pool, g.side2, 2) == pool
+        # a modulus beyond int64 counts as any modulus above every degree
+        assert unit_residue_targets(g, pool, VertexSet.from_ids([4]), 10**20) == pool
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)
@@ -323,6 +335,14 @@ class TestFixDegrees:
     def test_single_edge_patch(self):
         g = matching(1)
         chain = build_chain(g, 2)
+        patch = fix_degrees(g, chain, chain.deepest, VertexSet())
+        assert set(patch) == {0}
+
+    def test_modulus_beyond_int64(self):
+        g = matching(2)
+        chain = DominatingChain(
+            k=10**20, levels=(ChainLevel({2: 0}),), remainder=VertexSet.from_ids([1])
+        )
         patch = fix_degrees(g, chain, chain.deepest, VertexSet())
         assert set(patch) == {0}
 
