@@ -262,13 +262,14 @@ def _cmd_find(args) -> int:
 def _cmd_oracle(args) -> int:
     graph = _read_graph(args.input, args.permissive)
     spec = ResidueSpec(residue=args.residue, modulus=args.modulus)
-    result = oracle.exact_max_order(graph, spec, budget=args.budget)
-    agree = None
-    naive_order = None
+    naive_order = agree = None
     if args.naive:
-        naive = oracle.enumerate_max_order(graph, spec)
-        naive_order = naive.order
-        agree = naive.order == result.order and not result.timed_out
+        # enumerate first: it rejects a graph above ENUMERATION_LIMIT at
+        # once, before the search spends its budget
+        naive_order = oracle.enumerate_max_order(graph, spec).order
+    result = oracle.exact_max_order(graph, spec, budget=args.budget)
+    if args.naive:
+        agree = naive_order == result.order and not result.timed_out
     if args.json:
         payload = {
             "order": result.order,
@@ -276,6 +277,9 @@ def _cmd_oracle(args) -> int:
             "explored": result.explored,
             "budget": result.budget,
             "timed_out": result.timed_out,
+            "bound_prunes": result.bound_prunes,
+            "infeasible_prunes": result.infeasible_prunes,
+            "improvements": result.improvements,
             "residue": spec.residue,
             "modulus": spec.modulus,
         }
@@ -288,6 +292,10 @@ def _cmd_oracle(args) -> int:
         print(
             f"{exactness} order: {result.order} "
             f"(explored {result.explored} nodes, budget {result.budget})"
+        )
+        print(
+            f"prunes: {result.bound_prunes} by bound, {result.infeasible_prunes} "
+            f"infeasible; {result.improvements} incumbent improvements"
         )
         print("witness:", " ".join(map(str, result.witness.ids())) or "(empty)")
         if args.naive:

@@ -6,6 +6,14 @@ enumeration of all vertex subsets (:func:`enumerate_max_order`) kept as a
 cross-check for small graphs.  The two implementations share no search logic
 and must never be merged.
 
+The search decides the smaller side first, so once that side is fixed every
+remaining vertex's degree is known.  It prunes a node whose included plus
+live undecided vertices cannot beat the incumbent, where a vertex is dead
+once its missing residue exceeds its undecided neighbours, and a branch in
+which an included vertex turns dead.  It runs on an explicit stack, so its
+depth is bounded by memory rather than by Python's recursion limit, and it
+counts its prunes and incumbent improvements in :class:`OracleResult`.
+
 Both treat the empty set as a valid induced subgraph of order 0, so the
 result is 0 exactly when no non-empty witness exists.
 """
@@ -29,7 +37,10 @@ class OracleResult:
 
     ``order`` is the largest witness found and is exact unless ``timed_out``
     is set, in which case it is only a lower bound reached within ``budget``
-    explored nodes.
+    explored nodes.  ``bound_prunes`` counts nodes cut by the size bound,
+    ``infeasible_prunes`` branches cut because an included vertex can no
+    longer reach the residue, and ``improvements`` incumbent updates; full
+    enumeration leaves all three at 0.
     """
 
     order: int
@@ -37,6 +48,9 @@ class OracleResult:
     explored: int
     budget: int
     timed_out: bool
+    bound_prunes: int = 0
+    infeasible_prunes: int = 0
+    improvements: int = 0
 
     @property
     def exact(self) -> bool:
@@ -46,67 +60,111 @@ class OracleResult:
 def exact_max_order(
     graph: BipartiteGraph, spec: ResidueSpec, budget: int = 100_000_000
 ) -> OracleResult:
-    """Branch-and-bound over include/exclude decisions in degree order.
+    """Branch-and-bound over include/exclude decisions.
 
-    Vertices are decided from highest degree down.  Two prunes keep the tree
-    small: a branch dies when the decided vertices plus all undecided ones
-    cannot beat the incumbent, and an included vertex whose missing residue
-    exceeds its undecided neighbour count makes the branch infeasible.  The
-    include branch is explored first so large witnesses arrive early.
+    Order: the smaller side is decided first (side 1 on a tie), then the
+    larger one, each from highest degree down with ties by id.  Once the
+    smaller side is decided, every larger-side vertex's final degree is
+    known, which makes the bound below tight there.
+
+    Prunes: an undecided vertex x is *dead* when ``(r - cur[x]) % q`` exceeds
+    its undecided neighbour count, since it can then never reach residue r;
+    a dead vertex stays dead in the whole subtree and is only ever excluded.
+    A node dies when its included vertices plus its live undecided ones
+    cannot beat the incumbent (``bound_prunes``), and a branch dies when an
+    included vertex turns dead (``infeasible_prunes``).  The include branch
+    is explored first so large witnesses arrive early.
+
+    The depth-first search runs on an explicit stack, so no graph can hit
+    Python's recursion limit.  ``explored`` counts nodes entered; past
+    ``budget`` the search stops and the result is flagged ``timed_out``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = graph.n
     r, q = spec.residue, spec.modulus
     neighbours = [graph.neighbor_ids(v) for v in range(n)]
-    cur = [0] * n
-    und = [len(nbrs) for nbrs in neighbours]
-    order = sorted(range(n), key=lambda v: (-und[v], v))
+    cur = [0] * n  # included neighbours
+    und = [len(nbrs) for nbrs in neighbours]  # undecided neighbours
+    sides = [range(graph.n1), range(graph.n1, n)]
+    if graph.n2 < graph.n1:
+        sides.reverse()
+    order = [v for side in sides for v in sorted(side, key=lambda v: (-und[v], v))]
+    n_small = len(sides[0])
+    included = [0] * n
+    dead = sum(r > d for d in und)  # nothing included yet: dead iff r > degree
 
     best_size = 0
     best_mask = 0
-    explored = 0
+    explored = bound_prunes = infeasible_prunes = improvements = 0
     timed_out = False
-
-    def dfs(pos: int, inc_size: int, inc_mask: int):
-        nonlocal best_size, best_mask, explored, timed_out
-        explored += 1
-        if explored > budget:
-            timed_out = True
-            return
-        if inc_size + (n - pos) <= best_size:
-            return
-        if pos == n:
-            # every included vertex was checked with zero undecided
-            # neighbours when its last neighbour got decided, so the
-            # residue is exact here
-            best_size, best_mask = inc_size, inc_mask
-            return
-        x = order[pos]
-        nbrs = neighbours[x]
-        if (r - cur[x]) % q <= und[x]:
-            viable = True
-            for y in nbrs:
-                cur[y] += 1
-                und[y] -= 1
-                if viable and inc_mask >> y & 1 and (r - cur[y]) % q > und[y]:
-                    viable = False
-            if viable and not timed_out:
-                dfs(pos + 1, inc_size + 1, inc_mask | 1 << x)
-            for y in nbrs:
-                cur[y] -= 1
+    # one (vertex, taken, change in dead) per decided depth; `take` is the
+    # next step: 2 enter the node at depth pos, 1 include or 0 exclude the
+    # vertex at depth pos, -1 backtrack
+    stack: list[tuple[int, int, int]] = []
+    pos = inc = 0
+    take = 2
+    while True:
+        if take == 2:
+            explored += 1
+            if explored > budget:
+                timed_out = True
+                break
+            if inc + (n - pos) - dead <= best_size:
+                bound_prunes += 1
+                take = -1
+            elif pos == n:
+                # every included vertex was checked with zero undecided
+                # neighbours when its last neighbour got decided, so the
+                # residue is exact here
+                best_size = inc
+                best_mask = sum(1 << v for v, taken, _ in stack if taken)
+                improvements += 1
+                take = -1
+            else:
+                x = order[pos]
+                take = 1 if (r - cur[x]) % q <= und[x] else 0
+        elif take < 0:
+            if not stack:
+                break
+            x, taken, delta = stack.pop()
+            pos -= 1
+            for y in neighbours[x]:
+                cur[y] -= taken
                 und[y] += 1
-        viable = True
-        for y in nbrs:
-            und[y] -= 1
-            if viable and inc_mask >> y & 1 and (r - cur[y]) % q > und[y]:
-                viable = False
-        if viable and not timed_out:
-            dfs(pos + 1, inc_size, inc_mask)
-        for y in nbrs:
-            und[y] += 1
+            dead -= delta
+            inc -= taken
+            included[x] = 0
+            take = taken - 1
+        else:
+            x = order[pos]
+            delta = -1 if (r - cur[x]) % q > und[x] else 0
+            viable = True
+            if pos < n_small:
+                # x's neighbours are all on the larger side, all undecided
+                for y in neighbours[x]:
+                    c = cur[y] = cur[y] + take
+                    u = und[y] = und[y] - 1
+                    if (r - c) % q > u and (r - c + take) % q <= u + 1:
+                        delta += 1
+            else:
+                # x's neighbours are all on the smaller side, all decided
+                for y in neighbours[x]:
+                    c = cur[y] = cur[y] + take
+                    u = und[y] = und[y] - 1
+                    if included[y] and (r - c) % q > u:
+                        viable = False
+            dead += delta
+            inc += take
+            included[x] = take
+            stack.append((x, take, delta))
+            pos += 1
+            if viable:
+                take = 2
+            else:
+                infeasible_prunes += 1
+                take = -1
 
-    dfs(0, 0, 0)
     witness = VertexSet(best_mask)
     if not verify_residue(graph, witness, spec):
         raise AssertionError("search returned an invalid witness")
@@ -116,6 +174,9 @@ def exact_max_order(
         explored=explored,
         budget=budget,
         timed_out=timed_out,
+        bound_prunes=bound_prunes,
+        infeasible_prunes=infeasible_prunes,
+        improvements=improvements,
     )
 
 

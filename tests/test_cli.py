@@ -285,6 +285,7 @@ class TestOracle:
         assert code == 0
         assert "exact order: 6" in out
         assert "agree" in out
+        assert "incumbent improvements" in out
 
     def test_flag_aliases(self, star_file, capsys):
         for flags in (["--modulus", "3", "--residue", "1"],
@@ -304,6 +305,33 @@ class TestOracle:
         assert payload["agree"] is True
         assert payload["timed_out"] is False
         assert len(payload["witness"]) == 6
+        for key in ("bound_prunes", "infeasible_prunes", "improvements"):
+            assert isinstance(payload[key], int)
+        assert payload["improvements"] >= 1
+
+    def test_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "matching700.txt"
+        main(["gen", "--kind", "matching", "--param", "pairs=700",
+              "--out", str(path)])
+        code, out, _ = run(["oracle", "--input", str(path), "-q", "3"], capsys)
+        assert code == 0
+        assert "exact order: 1400" in out
+
+    def test_naive_size_checked_before_the_search(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(moddeg.oracle, "exact_max_order", no_search)
+        path = tmp_path / "matching11.txt"
+        main(["gen", "--kind", "matching", "--param", "pairs=11",
+              "--out", str(path)])
+        code, out, err = run(
+            ["oracle", "--input", str(path), "-q", "2", "--naive"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_budget_exhaustion_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "k66.txt"

@@ -19,7 +19,7 @@ from moddeg import (
     min_ratio_report,
     verify_residue,
 )
-from moddeg.generators import complete_bipartite, matching, star
+from moddeg.generators import complete_bipartite, generate, matching, star
 
 
 def cycle6() -> BipartiteGraph:
@@ -48,6 +48,22 @@ FROZEN_VALUES = [
 ]
 
 
+# [DERIVED] optima of generate("random", seed=s, n1=16, n2=10, p=0.25) for
+# s = 0..39 at residue 1 mod 3, recorded with the search that pruned only on
+# included plus undecided vertices and decided them in plain degree order
+FROZEN_RANDOM_OPTIMA = [
+    16, 14, 14, 15, 14, 16, 13, 14, 16, 14, 17, 15, 16, 15, 17, 15, 14, 16, 15, 16,
+    17, 15, 15, 15, 16, 16, 16, 16, 15, 14, 14, 14, 14, 17, 16, 14, 15, 15, 14, 14,
+]
+
+# (explored, bound_prunes, infeasible_prunes, improvements) of the search
+FROZEN_COUNTERS = [
+    (cycle6, (1, 2), (17, 5, 3, 1)),
+    (lambda: complete_bipartite(3, 3), (0, 2), (31, 11, 3, 2)),
+    (lambda: complete_bipartite(3, 3), (1, 3), (42, 10, 12, 1)),
+]
+
+
 class TestExactMaxOrder:
     @pytest.mark.parametrize("make,spec,value", FROZEN_VALUES)
     def test_frozen_small_graphs(self, make, spec, value):
@@ -55,6 +71,25 @@ class TestExactMaxOrder:
         result = exact_max_order(g, ResidueSpec(*spec))
         assert result.order == value
         assert not result.timed_out and result.exact
+
+    @pytest.mark.parametrize("make,spec,counts", FROZEN_COUNTERS)
+    def test_frozen_counters(self, make, spec, counts):
+        result = exact_max_order(make(), ResidueSpec(*spec))
+        assert (
+            result.explored,
+            result.bound_prunes,
+            result.infeasible_prunes,
+            result.improvements,
+        ) == counts
+
+    def test_frozen_random_optima(self):
+        optima = []
+        for seed in range(len(FROZEN_RANDOM_OPTIMA)):
+            g, _ = generate("random", seed=seed, n1=16, n2=10, p=0.25)
+            result = exact_max_order(g, ResidueSpec(1, 3))
+            assert result.exact
+            optima.append(result.order)
+        assert optima == FROZEN_RANDOM_OPTIMA
 
     def test_single_edge_for_every_modulus(self):
         g = matching(1)
@@ -111,6 +146,19 @@ class TestEnumerationCrossCheck:
         assert pruned.order == naive.order
         if naive.order:
             assert verify_residue(g, naive.witness, spec).ok
+
+    @given(bipartite_graphs(max_side1=8, max_side2=8))
+    @settings(max_examples=100, deadline=None)
+    def test_both_orientations_every_residue(self, g):
+        # the smaller side is decided first, so the transpose takes the
+        # other branch of that rule unless the sides are equal
+        swapped = transpose(g)
+        for q in range(2, 6):
+            for r in range(q):
+                spec = ResidueSpec(r, q)
+                naive = enumerate_max_order(g, spec).order
+                assert exact_max_order(g, spec).order == naive
+                assert exact_max_order(swapped, spec).order == naive
 
     def test_enumeration_refuses_large_graphs(self):
         g = matching(11)  # 22 vertices
