@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, GraphError
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
@@ -44,6 +44,13 @@ def star(leaves: int, center_side: int = 1) -> BipartiteGraph:
     raise ValueError(f"center_side must be 1 or 2, got {center_side}")
 
 
+def _check_sides(n1: int, n2: int) -> None:
+    """Refuse an empty side before any draw, with the message of
+    :meth:`BipartiteGraph.from_edges`."""
+    if n1 < 1 or n2 < 1:
+        raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
+
+
 def random_bipartite(
     n1: int, n2: int, p: float, rng: random.Random
 ) -> BipartiteGraph:
@@ -54,6 +61,7 @@ def random_bipartite(
     always validates.  Draw order is fixed: pairs in ascending (u, w) order,
     then repairs in ascending id order.
     """
+    _check_sides(n1, n2)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     present = [[rng.random() < p for _ in range(n2)] for _ in range(n1)]
@@ -78,6 +86,7 @@ def random_regularish(
     get one random partner afterwards.  Useful for large sparse instances
     where an edge-probability model would be dense or disconnected.
     """
+    _check_sides(n1, n2)
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree > n2:

@@ -11,14 +11,20 @@ from sorted ids goes through NumPy's bit packing instead of a walk over the
 bits.
 
 This module alone knows both formats.  The rest of the package works through
-:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` and
-:meth:`BipartiteGraph.degrees_into`, whose counts come back as ``int64``
-arrays aligned with the pool's ids.
+:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (a list)
+or :meth:`BipartiteGraph.neighbor_array` (a read-only view of one row), and
+:meth:`BipartiteGraph.degrees_into` and :meth:`BipartiteGraph.sole_neighbors`,
+whose results come back as ``int64`` arrays aligned with the pool's ids.
+
+A labeled document is read by one NumPy scan over its bytes when it is plain
+ASCII digits, blanks, comments and "\\n" or "\\r\\n" line ends, which is
+every document ``moddeg gen`` writes; any other document, and any document
+with an error, is read line by line, and that reading names the first bad
+line.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -267,6 +273,12 @@ class BipartiteGraph:
         indptr, indices = self.adj
         return indices[indptr[v]:indptr[v + 1]].tolist()
 
+    def neighbor_array(self, v: int) -> np.ndarray:
+        """Neighbours of ``v`` in ascending order, as a read-only ``int64``
+        view of the adjacency."""
+        indptr, indices = self.adj
+        return indices[indptr[v]:indptr[v + 1]]
+
     def degrees_into(
         self, pool: VertexSet, subset: VertexSet
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +293,22 @@ class BipartiteGraph:
         # every row is non-empty (no isolated vertices), as reduceat needs
         counts = np.add.reduceat(member[indices], indptr[:-1], dtype=np.int64)
         return ids, counts[ids]
+
+    def sole_neighbors(
+        self, pool: VertexSet, subset: VertexSet
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The members of ``pool`` with exactly one neighbour in ``subset``,
+        in ascending order, and that neighbour, as two aligned ``int64``
+        arrays."""
+        ids, counts = self.degrees_into(pool, subset)
+        ids = ids[counts == 1]
+        if not ids.size:
+            return ids, ids
+        indptr, indices = self.adj
+        member = _bits(subset.mask, self.n).view(bool)
+        # a row's one member is the sum of its members
+        hits = np.where(member[indices], indices, 0)
+        return ids, np.add.reduceat(hits, indptr[:-1])[ids]
 
     def edge_count(self) -> int:
         return len(self.adj[1]) // 2
@@ -315,29 +343,86 @@ def verify_residue(
     return ResidueCheck(ok=True)
 
 
-# The characters str.splitlines() ends a line at.  Every one is whitespace,
-# so outside comments the pattern below only has to keep to spaces and tabs.
-_LINE_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-# A line that is not blank, a comment, or two tokens split by spaces or tabs,
-# when lines end in "\n" or "\r\n".
-_IRREGULAR_LINE = re.compile(
-    rf"^(?![ \t]*(?:#[^{_LINE_BREAKS}]*|\S+[ \t]+\S+[ \t]*)?\r?$)", re.MULTILINE
-)
-_COMMENT_LINE = re.compile(r"^[ \t]*#.*", re.MULTILINE)
+# Byte classes of the tokenizer.  A carriage return counts as a blank; the
+# scan checks separately that each one is followed by "\n".
+_BLANK, _NEWLINE, _DIGIT, _OTHER, _CONTROL = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[:32] = _CONTROL
+_BYTE_CLASS[127:] = _CONTROL
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _BLANK
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+# 18 decimal digits always fit int64
+_MAX_DIGITS = 18
 
 
 def _tokenize(text: str) -> np.ndarray | None:
-    """The content lines of ``text`` as an ``(L, 2)`` int64 array, or None
-    unless :data:`_IRREGULAR_LINE` finds no line and every token fits int64.
-    NumPy reads a token as ``int()`` does, so the per-line reading agrees."""
-    if _IRREGULAR_LINE.search(text):
+    """The content lines of ``text`` as an ``(L, 2)`` int64 array, or None to
+    leave the document to the per-line reading.
+
+    One scan over the bytes accepts an ASCII document whose lines end in
+    "\\n" or "\\r\\n" and hold no other control byte, in which every line is
+    blank, a comment (first non-blank byte ``#``), or two runs of at most 18
+    digits split by spaces or tabs.  Such a line reads as ``int()`` reads
+    it.  Anything else declines: a non-ASCII document, a lone "\\r", a sign,
+    an underscore, any other byte outside a comment, or 19 digits or more.
+    """
+    if not text.isascii():
         return None
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
-    try:
-        return np.array(text.split(), dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
+    # the leading "\n" puts a line break before every line, the first too
+    data = np.frombuffer(b"\n" + text.encode("ascii") + b"\n", dtype=np.uint8)
+    words = _content_words(data)
+    if words is None:
         return None
+    start, line = words
+    # words come in pairs, each pair alone on its line
+    if start.size % 2 or (line[::2] != line[1::2]).any():
+        return None
+    if (line[2::2] == line[1:-1:2]).any():
+        return None
+    # Horner's rule, one digit column at a time, while any word goes on
+    values = np.zeros(start.size, dtype=np.int64)
+    live = np.ones(start.size, dtype=bool)
+    for column in range(_MAX_DIGITS + 1):
+        digits = data.take(start + column, mode="clip") - np.uint8(ord("0"))
+        live &= digits < 10
+        if not live.any():
+            return values.reshape(-1, 2)
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digits, out=values, where=live)
+    return None  # a word of 19 digits or more
+
+
+def _content_words(data: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first byte and the line number of every word outside comments,
+    for ``data`` that starts and ends with "\\n"; None when ``data`` holds a
+    control byte other than a tab, a "\\n" or a "\\r" before "\\n", or when
+    a word outside the comments holds anything but digits."""
+    carriage = np.flatnonzero(data == ord("\r"))
+    if (data[carriage + 1] != ord("\n")).any():
+        return None
+    kind = _BYTE_CLASS[data]
+    if (kind == _CONTROL).any():
+        return None
+    other = np.flatnonzero(kind == _OTHER)
+    # events: every line break and every word's first byte, in byte order
+    solid = kind >= _DIGIT
+    marks = kind == _NEWLINE
+    marks[1:] |= solid[1:] > solid[:-1]
+    del kind, solid  # free the per-byte arrays before the index arrays come
+    events = np.flatnonzero(marks).astype(np.int32 if data.size < 2**30 else np.int64)
+    del marks
+    breaks = data[events] == ord("\n")
+    line = np.cumsum(breaks, dtype=events.dtype)  # an event's line: breaks up to it
+    # a comment line is one whose first word starts with "#"
+    lead = np.flatnonzero(breaks[:-1] > breaks[1:]) + 1
+    comment = np.zeros(int(line[-1]) + 1, dtype=bool)
+    comment[line[lead[data[events[lead]] == ord("#")]]] = True
+    if not comment[np.searchsorted(events[breaks], other)].all():
+        return None
+    words = ~breaks
+    words[words] = ~comment[line[words]]
+    return events[words], line[words]
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

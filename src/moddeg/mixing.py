@@ -203,6 +203,8 @@ def uniformity_check(k: int, threshold_exponent: int = 3) -> UniformityCheck:
 
 def uniformity_table(k_max: int, threshold_exponent: int = 3) -> list[UniformityCheck]:
     """Run :func:`uniformity_check` for every k in 2..k_max."""
+    if k_max < 2:
+        raise ValueError(f"k-max must be >= 2, got {k_max}")
     return [uniformity_check(k, threshold_exponent) for k in range(2, k_max + 1)]
 
 

@@ -66,6 +66,21 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("random", ["n1=0", "n2=3", "p=0.5"], "got n1=0, n2=3"),
+        ("random", ["n1=3", "n2=-1", "p=0.5"], "got n1=3, n2=-1"),
+        ("regularish", ["n1=0", "n2=3", "degree=2"], "got n1=0, n2=3"),
+        ("regularish", ["n1=4", "n2=0", "degree=2"], "got n1=4, n2=0"),
+    ])
+    def test_empty_side_is_a_usage_error(self, kind, params, message, capsys):
+        args = ["gen", "--kind", kind]
+        for param in params:
+            args += ["--param", param]
+        code, out, err = run(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: both sides must be non-empty, {message}\n"
+
 
 class TestFind:
     def test_roundtrip_from_file(self, star_file, capsys):
@@ -448,6 +463,20 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_empty_side_in_a_spec_is_an_error_record(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"k": 2, "instances": [
+            {"kind": "regularish", "params": {"n1": 0, "n2": 3, "degree": 1}},
+            {"kind": "matching", "params": {"pairs": 2}},
+        ]}))
+        code, out, _ = run(["bench", "--spec", str(path), "--format", "json"], capsys)
+        assert code == 1
+        failed, solved = json.loads(out)["records"]
+        assert failed["error"] == (
+            "GraphError: both sides must be non-empty, got n1=0, n2=3"
+        )
+        assert solved["error"] is None and solved["verified"]
+
     def test_timing_breaks_no_canonical_fields(self, capsys):
         code, out, _ = run(self.INLINE + ["--timing"], capsys)
         assert code == 0
@@ -495,6 +524,14 @@ class TestMixing:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("k_max", ["1", "0", "-3"])
+    def test_k_max_below_two_is_a_usage_error(self, k_max, capsys):
+        code, out, err = run(["mixing", "--k-max", k_max], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: k-max must be >= 2, got {k_max}\n"
 
 
 class TestModuleEntryPoints:

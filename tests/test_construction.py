@@ -65,6 +65,34 @@ def staircase_graph() -> BipartiteGraph:
     return BipartiteGraph.from_edges(11, 7, edges)
 
 
+def reference_dominating_set(
+    g: BipartiteGraph, targets: VertexSet, candidates: VertexSet
+) -> dict[int, int]:
+    """The greedy of :func:`minimal_dominating_set` as a loop over Python
+    ints: candidates leave in ascending id order while every target keeps a
+    neighbour, then each target with one kept neighbour, in ascending order,
+    becomes that dominator's private unless it already has one."""
+    members = set(candidates)
+    live = {v: sum(u in members for u in g.neighbor_ids(v)) for v in targets}
+    for v, count in live.items():
+        if count == 0:
+            raise DominationError(f"target {v} has no neighbour among candidates")
+    kept = set()
+    for w in candidates:
+        touched = [v for v in g.neighbor_ids(w) if v in live]
+        if all(live[v] >= 2 for v in touched):
+            for v in touched:
+                live[v] -= 1
+        else:
+            kept.add(w)
+    private_of = {}
+    for v, count in live.items():
+        if count == 1:
+            w = next(u for u in g.neighbor_ids(v) if u in kept)
+            private_of.setdefault(w, v)
+    return private_of
+
+
 class TestMinimalDominatingSet:
     def test_star_keeps_the_center(self):
         g = star(3, center_side=2)
@@ -125,6 +153,48 @@ class TestMinimalDominatingSet:
         for w in doms:
             shrunk = doms - VertexSet.from_ids([w])
             assert any(not nbrs(g, v) & shrunk for v in g.side1)
+
+
+    @given(bipartite_graphs(max_side1=9, max_side2=9), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_greedy(self, g, data):
+        targets = VertexSet.from_ids(data.draw(st.sets(st.sampled_from(g.side1.ids()))))
+        candidates = VertexSet.from_ids(
+            data.draw(st.sets(st.sampled_from(g.side2.ids())))
+        )
+        try:
+            want = reference_dominating_set(g, targets, candidates)
+        except DominationError as exc:
+            with pytest.raises(DominationError) as caught:
+                minimal_dominating_set(g, targets, candidates)
+            assert str(caught.value) == str(exc)
+            return
+        level = minimal_dominating_set(g, targets, candidates)
+        assert list(level.private_of.items()) == list(want.items())
+
+    @pytest.mark.parametrize("g", [
+        complete_bipartite(7, 5),
+        star(9, center_side=2),
+        random_regularish(60, 30, 3, random.Random(1)),
+        random_regularish(80, 20, 6, random.Random(2)),
+        random_regularish(300, 150, 2, random.Random(3)),
+    ], ids=["complete", "star", "regularish-3", "regularish-6", "regularish-2"])
+    def test_every_chain_level_matches_the_reference_greedy(self, g):
+        for k in range(2, 6):
+            self.check_chain_levels(g, k)
+
+    @given(bipartite_graphs(max_side1=9, max_side2=9), st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_random_chains_match_the_reference_greedy(self, g, k):
+        self.check_chain_levels(g, k)
+
+    @staticmethod
+    def check_chain_levels(g, k):
+        targets, candidates = g.side1, g.side2
+        for level in build_chain(g, k).levels:
+            want = reference_dominating_set(g, targets, candidates)
+            assert list(level.private_of.items()) == list(want.items())
+            targets, candidates = targets - level.privates, level.dominators
 
 
 class TestBuildChain:

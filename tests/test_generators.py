@@ -17,6 +17,7 @@ from moddeg.generators import (
     random_regularish,
     star,
 )
+from moddeg.graph import GraphError
 
 
 class TestFixedFamilies:
@@ -76,6 +77,18 @@ class TestRandomFamilies:
             random_regularish(4, 3, 4, random.Random(0))
         with pytest.raises(ValueError):
             random_regularish(4, 3, 0, random.Random(0))
+
+    @pytest.mark.parametrize("build", [
+        lambda n1, n2, rng: random_bipartite(n1, n2, 0.5, rng),
+        lambda n1, n2, rng: random_regularish(n1, n2, 1, rng),
+    ], ids=["random", "regularish"])
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0), (-1, 2)])
+    def test_empty_side_refused_before_any_draw(self, build, n1, n2):
+        rng = random.Random(0)
+        with pytest.raises(GraphError) as caught:
+            build(n1, n2, rng)
+        assert str(caught.value) == f"both sides must be non-empty, got n1={n1}, n2={n2}"
+        assert rng.getstate() == random.Random(0).getstate()
 
 
 class TestDispatch:

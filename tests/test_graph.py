@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bipartite_graphs
+from moddeg import graph as graph_module
+from moddeg.cli import main
 from moddeg.graph import (
     BipartiteGraph,
     DuplicateEdgeWarning,
@@ -329,6 +331,8 @@ class TestParseMessages:
          "line 3: expected two integers, got '1 two'"),
         ("2 2\n0 2\n1 3 3\n", False, GraphError,
          "line 3: expected two integers, got '1 3 3'"),
+        ("2 2\n0 2 1 3\n1 3\n", False, GraphError,
+         "line 2: expected two integers, got '0 2 1 3'"),
         ("2 2\n0 2\n1\n", False, GraphError, "line 3: expected two integers, got '1'"),
         ("2 2\n0 2\n1 3.0\n", False, GraphError,
          "line 3: expected two integers, got '1 3.0'"),
@@ -359,6 +363,15 @@ class TestParseMessages:
          "line 3: vertex 4 outside side 2 range [2, 4)"),
         ("2 2\n0 2\n1 99999999999999999999\n", False, GraphError,
          "line 3: vertex 99999999999999999999 outside side 2 range [2, 4)"),
+        ("2 2\n0 2\n1 3000000000000000000\n", False, GraphError,
+         "line 3: vertex 3000000000000000000 outside side 2 range [2, 4)"),
+        ("1000000000000000000 1\n0 1\n", False, GraphError,
+         "line 1: header declares sides of 1000000000000000000 and 1 vertices "
+         "but only 1 edge lines follow"),
+        ("2 2\n0 2\x0b1 x\n", False, GraphError,
+         "line 3: expected two integers, got '1 x'"),
+        ("2 2\n0 2\n\x0b1 4\n", False, GraphError,
+         "line 4: vertex 4 outside side 2 range [2, 4)"),
         # the first bad line wins, whatever is wrong with it
         ("2 2\n0 2\n0 9\n1 x\n", False, GraphError,
          "line 3: vertex 9 outside side 2 range [2, 4)"),
@@ -403,6 +416,11 @@ class TestParseMessages:
         ("2 2\n0 2\n1 \u0663\n", False, TWO_EDGES),
         ("2\xa02\n0 2\n1 3\n", False, TWO_EDGES),
         ("2 2\u20280 2\u20281 3", False, TWO_EDGES),
+        ("2 2\x0b0 2\x0b1 3\n", False, TWO_EDGES),
+        ("2 2\n0 2 \x0b\n1 3\n", False, TWO_EDGES),
+        ("2 2\n0 2\n1 000000000000000003\n", False, TWO_EDGES),
+        ("2 2\n0 2\n1 0000000000000000003\n", False, TWO_EDGES),
+        ("002 2\r\n# 1 9999999999999999999\r\n0 2\r\n\t\r\n1 3", False, TWO_EDGES),
         # a comment ends at any line break, so the edge after it counts
         ("2 2\n0 2\n1 3\n# c\u20281 2\n", False,
          BipartiteGraph.from_edges(2, 2, [(0, 2), (1, 3), (1, 2)])),
@@ -444,6 +462,60 @@ class TestParseMessages:
         # U+2028 ends a line for str.splitlines, as "\n" does, but the
         # tokenizer declines it, so this spelling takes the per-line reading
         assert self.outcome(text) == self.outcome(text.replace("\n", "\u2028"))
+
+
+    @staticmethod
+    def read_by_lines(text):
+        """The content lines of ``text``, each token read with ``int()``."""
+        rows = []
+        for raw in text.splitlines():
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                rows.append([int(token) for token in line.split()])
+        return rows
+
+    _scan_token = st.one_of(
+        _token,
+        st.sampled_from(["007", "0" * 17 + "5", "9" * 18, "9" * 19, "1" + "0" * 18]),
+    )
+    _scan_line = st.one_of(
+        _line,
+        _edge,
+        st.tuples(
+            st.sampled_from(["", " ", "\t"]), _scan_token, st.sampled_from([" ", "\t"]),
+            _scan_token, st.sampled_from(["", " ", " #", "\t# 5", "#", " 1 3"]),
+        ).map("".join),
+        st.sampled_from(["\t", " \t ", "# 1 2", "  #3 4", "#", "#\t0 9"]),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_scan_line, st.sampled_from(["\n", "\n", "\r\n", "\r"])),
+                    max_size=8),
+           st.booleans())
+    def test_scan_agrees_with_int_per_token(self, lines, trailing):
+        text = "".join(line + end for line, end in lines)
+        if lines and not trailing:
+            text = text[: -len(lines[-1][1])]
+        tokens = graph_module._tokenize(text)
+        if tokens is not None:
+            assert tokens.dtype == "int64" and tokens.shape[1] == 2
+            assert tokens.tolist() == self.read_by_lines(text)
+
+    def test_generated_documents_take_the_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "regularish.txt"
+        assert main(["gen", "--kind", "regularish", "--param", "n1=8000",
+                     "--param", "n2=2000", "--param", "degree=3", "--seed", "4",
+                     "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text.startswith("# regularish(")
+        header, *edges = self.read_by_lines(text)
+        assert len(edges) >= 20_000
+
+        def refuse(text):
+            raise AssertionError("the scan declined a generated document")
+
+        monkeypatch.setattr(graph_module, "_read_labeled_lines", refuse)
+        assert parse_graph(text) == BipartiteGraph.from_edges(*header, edges)
 
 
 class TestSerialize:

@@ -169,6 +169,11 @@ class TestUniformityCheck:
         with pytest.raises(ValueError):
             mixing.format_uniformity_table(checks, "html")
 
+    @pytest.mark.parametrize("k_max", [1, 0, -3])
+    def test_table_needs_k_max_at_least_two(self, k_max):
+        with pytest.raises(ValueError, match=f"^k-max must be >= 2, got {k_max}$"):
+            mixing.uniformity_table(k_max)
+
     def test_failure_is_reported_not_raised(self):
         check = mixing.uniformity_check(5, threshold_exponent=1)
         assert check.n == 5
