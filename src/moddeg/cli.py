@@ -11,9 +11,10 @@ Subcommands:
 * ``mixing``  near-uniformity table for the dyadic residue distribution
 
 Exit status: 0 on success with all verifications passing, 1 when a
-verification or cross-check fails, 2 for bad input or bad usage.  The
-``MODDEG_SEED`` environment variable supplies the default seed wherever
-``--seed`` is omitted.
+verification or cross-check fails, 2 for bad input or bad usage.  An
+omitted ``--seed`` means 0, except that ``bench`` takes the spec file's seed
+first.  The high-degree cut of ``find`` and the term count of ``mixing`` are
+both k^3 (:func:`moddeg.mixing.high_degree_cut`).
 """
 
 from __future__ import annotations
@@ -21,24 +22,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 
 from . import generators, harness, mixing, oracle
 from .construction import find_mod_one_subgraph
 from .graph import ResidueSpec, parse_graph, serialize_graph, verify_residue
 
-ENV_SEED = "MODDEG_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+SPEC_KEYS = ("k", "mode", "seed", "retries", "instances")
+BLOCK_KEYS = ("kind", "count", "params")
 
 
 def _read_graph(path: str, permissive: bool):
@@ -72,7 +63,7 @@ def _add_graph_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--permissive",
         action="store_true",
-        help="accept arbitrary vertex ids and infer the bipartition",
+        help="accept non-negative integer ids of any size and infer the bipartition",
     )
 
 
@@ -100,15 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sampled",
         help="subset selection strategy (default: sampled)",
     )
-    find.add_argument("--seed", type=int, default=None, help="sampling seed")
+    find.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     find.add_argument(
         "--retries", type=int, default=16, help="sampling draws per route"
-    )
-    find.add_argument(
-        "--threshold-exponent",
-        type=int,
-        default=3,
-        help="high-degree cutoff is k to this power (default 3)",
     )
     find.add_argument("--json", action="store_true", help="emit the full trace as JSON")
     find.add_argument(
@@ -157,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="generator parameter, repeatable",
     )
-    gen.add_argument("--seed", type=int, default=None, help="generation seed")
+    gen.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     gen.add_argument("--out", default="-", metavar="PATH", help="output file")
 
     bench = sub.add_parser("bench", help="run a reproducible batch")
@@ -165,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         default=None,
         metavar="PATH",
-        help="JSON batch spec file with keys k, mode, retries, instances "
+        help="JSON batch spec file with keys k, mode, seed, retries, instances "
         "(a list of {kind, count, params}); command-line flags win on overlap",
     )
     bench.add_argument(
@@ -190,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="subset selection strategy (default: sampled)",
     )
-    bench.add_argument("--seed", type=int, default=None, help="master seed")
+    bench.add_argument(
+        "--seed", type=int, default=None, help="master seed (default: spec, else 0)"
+    )
     bench.add_argument(
         "--retries", type=int, default=None, help="sampling draws per route"
     )
@@ -214,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     mix = sub.add_parser("mixing", help="near-uniformity table of dyadic residues")
     mix.add_argument("--k-max", type=int, default=25, help="largest modulus to check")
     mix.add_argument(
-        "--threshold-exponent",
-        type=int,
-        default=3,
-        help="evaluate sums of k to this power terms (default 3)",
-    )
-    mix.add_argument(
         "--format", choices=("text", "csv"), default="text", help="table format"
     )
 
@@ -228,14 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_find(args) -> int:
     graph = _read_graph(args.input, args.permissive)
-    seed = args.seed if args.seed is not None else _default_seed()
     subgraph, trace = find_mod_one_subgraph(
-        graph,
-        args.k,
-        mode=args.mode,
-        seed=seed,
-        retries=args.retries,
-        threshold_exponent=args.threshold_exponent,
+        graph, args.k, mode=args.mode, seed=args.seed, retries=args.retries
     )
     check = verify_residue(graph, subgraph, ResidueSpec(1, args.k))
     payload = trace.to_dict(verbose=args.verbose)
@@ -310,8 +285,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = dict(args.param)
-    seed = args.seed if args.seed is not None else _default_seed()
-    graph, descriptor = generators.generate(args.kind, seed=seed, **params)
+    _check_params(args.kind, params, "--param")
+    graph, descriptor = generators.generate(args.kind, seed=args.seed, **params)
     _write_out(f"# {descriptor}\n" + serialize_graph(graph), args.out)
     return 0
 
@@ -326,6 +301,7 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
         file_spec = json.load(handle)
     if not isinstance(file_spec, dict):
         raise ValueError(f"{path}: a batch spec must be a JSON object")
+    _reject_unknown_keys(file_spec, SPEC_KEYS, path)
     for key in ("k", "retries", "seed"):
         value = file_spec.get(key, 0)
         if type(value) is not int:  # bool is an int subclass; reject it too
@@ -339,6 +315,7 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
         where = f"{path}: instance block {index}"
         if not isinstance(block, dict) or "kind" not in block:
             raise ValueError(f'{where} has no "kind"')
+        _reject_unknown_keys(block, BLOCK_KEYS, where)
         kind, count = block["kind"], block.get("count", 1)
         params = block.get("params", {})
         if kind not in known:
@@ -352,13 +329,25 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
     return file_spec, specs
 
 
+def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key {unknown[0]!r}; known keys: {', '.join(known)}"
+        )
+
+
 def _check_params(kind: str, params: dict, where: str) -> None:
     """Reject generator parameter names that ``kind`` does not take, or a
-    missing required one, before any instance runs."""
+    missing required one, before any instance runs.  A name it does not take
+    is named first: a misspelled name also leaves the right one missing."""
     signature = inspect.signature(generators.GENERATORS[kind])
-    taken = [p for name, p in signature.parameters.items() if name != "rng"]
+    taken = signature.replace(
+        parameters=[p for name, p in signature.parameters.items() if name != "rng"]
+    )
     try:
-        signature.replace(parameters=taken).bind(**params)
+        taken.bind_partial(**params)
+        taken.bind(**params)
     except TypeError as exc:
         raise ValueError(f"{where}: bad parameters for {kind!r}: {exc}") from None
 
@@ -380,12 +369,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("no modulus; pass --k or put k in the spec file")
     mode = args.mode if args.mode is not None else file_spec.get("mode", "sampled")
     retries = args.retries if args.retries is not None else file_spec.get("retries", 16)
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in file_spec:
-        seed = file_spec["seed"]
-    else:
-        seed = _default_seed()
+    seed = args.seed if args.seed is not None else file_spec.get("seed", 0)
     report = harness.run_batch(
         specs,
         k,
@@ -403,7 +387,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    checks = mixing.uniformity_table(args.k_max, args.threshold_exponent)
+    checks = mixing.uniformity_table(args.k_max)
     sys.stdout.write(mixing.format_uniformity_table(checks, args.format))
     failed = [str(c.k) for c in checks if not c.passed]
     if failed:

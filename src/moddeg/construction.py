@@ -10,7 +10,7 @@ stages:
    (:func:`build_chain`).  The first level alone already yields an induced
    matching, which is a valid answer for every k.
 2. Split the leftover side-1 vertices by their degree into the deepest
-   dominating set: vertices above a k^3-style threshold are handled by
+   dominating set: vertices with at least k^3 such neighbours are handled by
    half-density sampling, the rest by sampling at the dyadic density matched
    to the largest degree bucket.
 3. For whichever subset got sampled (or fixed by derandomization), repair the
@@ -227,21 +227,12 @@ def matching_candidate(chain: DominatingChain) -> VertexSet:
     return first.dominators | first.privates
 
 
-def _threshold(k: int, exponent: int, degrees: np.ndarray) -> int:
-    """k**min(exponent, B) for B the bit length of the largest degree: as
-    k**B > every degree, it splits ``degrees`` as k**exponent does."""
-    largest = int(degrees.max(initial=0))
-    return k ** min(exponent, largest.bit_length())
-
-
-def high_degree_targets(
-    graph: BipartiteGraph, chain: DominatingChain, *, threshold_exponent: int = 3
-) -> VertexSet:
-    """Remainder vertices with at least k**threshold_exponent neighbours in
-    the deepest dominator level."""
+def high_degree_targets(graph: BipartiteGraph, chain: DominatingChain) -> VertexSet:
+    """Remainder vertices with at least k**3 neighbours in the deepest
+    dominator level (:func:`mixing.high_degree_cut`)."""
     ids, degrees = graph.degrees_into(chain.remainder, chain.deepest)
-    threshold = _threshold(chain.k, threshold_exponent, degrees)
-    return VertexSet.from_ids(ids[degrees >= threshold])
+    # NumPy compares int64 with a Python int beyond int64 exactly
+    return VertexSet.from_ids(ids[degrees >= mixing.high_degree_cut(chain.k)])
 
 
 def sample_subset(
@@ -270,31 +261,25 @@ def unit_residue_targets(
 
 
 def largest_dyadic_bucket(
-    graph: BipartiteGraph,
-    chain: DominatingChain,
-    rest: VertexSet,
-    *,
-    threshold_exponent: int = 3,
+    graph: BipartiteGraph, chain: DominatingChain, rest: VertexSet
 ) -> tuple[int, VertexSet]:
     """Bucket ``rest`` by floor(log2(degree into the deepest level)) and
     return the fullest bucket (ties: smallest exponent).
 
     Every vertex of ``rest`` must have degree at least 1 (the deepest level
-    dominates it) and below the high-degree threshold, so there are at most
-    floor(log2(k**threshold_exponent)) + 1 buckets and the winner holds at
-    least an equal share of ``rest``.
+    dominates it) and below the high-degree cut k**3, so there are at most
+    floor(log2(k**3)) + 1 buckets and the winner holds at least an equal
+    share of ``rest``.
     """
     if not rest:
         raise ValueError("empty vertex set: no bucket to pick")
     ids, degrees = graph.degrees_into(rest, chain.deepest)
-    threshold = _threshold(chain.k, threshold_exponent, degrees)
+    threshold = mixing.high_degree_cut(chain.k)
     outside = (degrees < 1) | (degrees >= threshold)
     if outside.any():
         i = int(outside.argmax())
-        # the message names the documented bound, not the clamped one
         raise ConstructionError(
-            f"vertex {ids[i]} has degree {degrees[i]}, "
-            f"outside [1, {chain.k ** threshold_exponent})"
+            f"vertex {ids[i]} has degree {degrees[i]}, outside [1, {threshold})"
         )
     # frexp's exponent is the bit length of an integer below 2**53
     exponents = np.frexp(degrees)[1] - 1
@@ -429,9 +414,7 @@ def _classify(graph: BipartiteGraph, chain: DominatingChain, heavy: VertexSet) -
     return 3
 
 
-def check_run_parameters(
-    k: int, mode: str, retries: int, threshold_exponent: int = 3
-) -> None:
+def check_run_parameters(k: int, mode: str, retries: int) -> None:
     """Raise ValueError unless :func:`find_mod_one_subgraph` accepts these."""
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
@@ -439,8 +422,6 @@ def check_run_parameters(
         raise ValueError(f"mode must be 'sampled' or 'derandomized', got {mode!r}")
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
-    if threshold_exponent < 1:
-        raise ValueError(f"threshold exponent must be >= 1, got {threshold_exponent}")
 
 
 def find_mod_one_subgraph(
@@ -450,7 +431,6 @@ def find_mod_one_subgraph(
     mode: str = "sampled",
     seed: int | None = 0,
     retries: int = 16,
-    threshold_exponent: int = 3,
 ) -> tuple[VertexSet, ConstructionTrace]:
     """Largest verified induced subgraph with every degree = 1 mod k.
 
@@ -462,14 +442,13 @@ def find_mod_one_subgraph(
     subsets from a generator seeded with ``seed`` and keep the draw hitting
     the most scored vertices.  In "derandomized" mode subsets are fixed by
     conditional expectations and the run is fully deterministic; ``seed`` and
-    ``retries`` are ignored.  Remainder vertices with at least
-    k**threshold_exponent neighbours in the deepest level count as high
-    degree.
+    ``retries`` are ignored.  Remainder vertices with at least k**3
+    neighbours in the deepest level count as high degree.
     """
-    check_run_parameters(k, mode, retries, threshold_exponent)
+    check_run_parameters(k, mode, retries)
     chain = build_chain(graph, k)
     deepest = chain.deepest
-    heavy = high_degree_targets(graph, chain, threshold_exponent=threshold_exponent)
+    heavy = high_degree_targets(graph, chain)
     rest = chain.remainder - heavy
     rng = random.Random(seed)
     residue_spec = ResidueSpec(residue=1, modulus=k)
@@ -507,9 +486,7 @@ def find_mod_one_subgraph(
     bucket_exponent = None
     bucket = None
     if rest:
-        bucket_exponent, bucket = largest_dyadic_bucket(
-            graph, chain, rest, threshold_exponent=threshold_exponent
-        )
+        bucket_exponent, bucket = largest_dyadic_bucket(graph, chain, rest)
         routes[3] = run_route(bucket, bucket_exponent)
 
     best_case = None

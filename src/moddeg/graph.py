@@ -453,10 +453,10 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
     ``n1 <= v < n1+n2``.  Lines starting with ``#`` are comments.
 
     Permissive format (``permissive=True``): every line is an edge ``u v``
-    over arbitrary vertex ids; the bipartition is computed by 2-coloring and
-    ids are compacted.  Raises :class:`NotBipartiteError` if no 2-coloring
-    exists (a self-loop counts as non-bipartite structure and is a hard
-    error).
+    over non-negative integer ids of any size; the bipartition is computed by
+    2-coloring and ids are compacted.  Raises :class:`NotBipartiteError` if
+    no 2-coloring exists (a self-loop counts as non-bipartite structure and is
+    a hard error).
 
     In both formats the result is relabeled so side 1 is the side of larger
     cardinality; on ties, the side containing the smallest original vertex id

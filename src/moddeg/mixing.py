@@ -144,11 +144,18 @@ def fourier_gap_bound(n: int, k: int, exponent: int = 1) -> float:
     return total / k
 
 
+def high_degree_cut(k: int) -> int:
+    """k**3: the term count of :func:`uniformity_check`, and the degree into
+    the deepest dominator level from which the construction counts a
+    remainder vertex as high degree."""
+    return k ** 3
+
+
 @dataclass(frozen=True)
 class UniformityCheck:
     """How close the k-residue distribution sits to uniform at threshold scale.
 
-    ``n`` is k raised to ``threshold_exponent``; ``alt_n = ceil(k^2 ln k)`` is
+    ``n`` is :func:`high_degree_cut` of k; ``alt_n = ceil(k^2 ln k)`` is
     reported alongside for comparison (no acceptance threshold attached).
     """
 
@@ -164,24 +171,15 @@ class UniformityCheck:
     passed: bool
 
 
-def uniformity_check(k: int, threshold_exponent: int = 3) -> UniformityCheck:
-    """Evaluate the residue-1 probability of a k^threshold_exponent-term sum.
+def uniformity_check(k: int) -> UniformityCheck:
+    """Evaluate the residue-1 probability of a k^3-term sum.
 
     ``passed`` says whether the probability is at least 0.95/k (it is exactly
-    1/2 at k = 2 and approaches 1/k rapidly at the default exponent).
+    1/2 at k = 2 and approaches 1/k rapidly as k grows).
     """
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
-    if threshold_exponent < 0:
-        raise ValueError(f"threshold exponent must be >= 0, got {threshold_exponent}")
-    # k**e >= 2**(e * (bit_length(k) - 1)): tested before the power is built,
-    # so a huge exponent builds no big int; residue_distribution checks the rest
-    if threshold_exponent * (k.bit_length() - 1) >= sys.float_info.max_exp:
-        raise ValueError(
-            f"k**threshold_exponent = {k}**{threshold_exponent} does not fit a "
-            f"double (at most about 1.8e308)"
-        )
-    n = k ** threshold_exponent
+    n = high_degree_cut(k)
     probability = residue_distribution(n, k).probability(1)
     target = 1.0 / k
     ratio = probability / target
@@ -201,11 +199,11 @@ def uniformity_check(k: int, threshold_exponent: int = 3) -> UniformityCheck:
     )
 
 
-def uniformity_table(k_max: int, threshold_exponent: int = 3) -> list[UniformityCheck]:
+def uniformity_table(k_max: int) -> list[UniformityCheck]:
     """Run :func:`uniformity_check` for every k in 2..k_max."""
     if k_max < 2:
         raise ValueError(f"k-max must be >= 2, got {k_max}")
-    return [uniformity_check(k, threshold_exponent) for k in range(2, k_max + 1)]
+    return [uniformity_check(k) for k in range(2, k_max + 1)]
 
 
 def format_uniformity_table(checks: list[UniformityCheck], fmt: str = "text") -> str:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from moddeg import mixing
 from moddeg.graph import BipartiteGraph
 
 # Lines recorded by the acceptance tests; echoed after the run so each
@@ -25,6 +28,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def skewed_at_five(monkeypatch):
+    """Make ``mixing.residue_distribution`` put P(1) at half of uniform for
+    k = 5 only, so that row of the uniformity check fails."""
+    real = mixing.residue_distribution
+
+    def skewed(n, k, exponent=1):
+        if k != 5:
+            return real(n, k, exponent)
+        probs = np.array([0.3, 0.1, 0.2, 0.2, 0.2])
+        return mixing.ResidueDistribution(n=n, k=k, exponent=exponent, probs=probs)
+
+    monkeypatch.setattr(mixing, "residue_distribution", skewed)
 
 
 @st.composite

@@ -66,6 +66,23 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("param", ["seed=5", "kind=x"])
+    def test_param_naming_a_gen_option_is_a_usage_error(self, param, capsys):
+        code, out, err = run(
+            ["gen", "--kind", "star", "--param", "leaves=3", "--param", param], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --param: ") and err.count("\n") == 1
+        assert f"argument '{param.split('=')[0]}'" in err
+
+    def test_omitted_seed_is_zero(self, capsys):
+        args = ["gen", "--kind", "random",
+                "--param", "n1=4", "--param", "n2=4", "--param", "p=0.5"]
+        _, out_default, _ = run(args, capsys)
+        _, out_zero, _ = run(args + ["--seed", "0"], capsys)
+        assert out_default == out_zero
+
     @pytest.mark.parametrize("kind, params, message", [
         ("random", ["n1=0", "n2=3", "p=0.5"], "got n1=0, n2=3"),
         ("random", ["n1=3", "n2=-1", "p=0.5"], "got n1=3, n2=-1"),
@@ -196,30 +213,6 @@ class TestFind:
         assert out == ""
         assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
-    def test_huge_threshold_exponent_acts_as_any_exponent_above_every_degree(
-        self, star_file, capsys
-    ):
-        outputs = []
-        for exponent in ("64", "1000000000000"):
-            code, out, _ = run(
-                ["find", "--input", str(star_file), "--k", "3",
-                 "--threshold-exponent", exponent, "--json", "--verbose"],
-                capsys,
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
-    def test_threshold_exponent_below_one(self, star_file, capsys):
-        code, out, err = run(
-            ["find", "--input", str(star_file), "--k", "2",
-             "--threshold-exponent", "0"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
 
 class TestByteIdentity:
     """sha256 of whole outputs at fixed seeds: a change to any id, count or
@@ -280,8 +273,7 @@ class TestByteIdentity:
         assert code == 0
         assert self.sha256(out) == self.FIND[sizes, k, mode]
 
-    def test_bench_json_with_oracle(self, capsys, monkeypatch):
-        monkeypatch.delenv("MODDEG_SEED", raising=False)
+    def test_bench_json_with_oracle(self, capsys):
         code, out, _ = run(
             ["bench", "--kind", "random", "--param", "n1=16", "--param", "n2=10",
              "--param", "p=0.25", "--count", "20", "--k", "3",
@@ -450,11 +442,16 @@ class TestBench:
         ({"k": 2}, ["--kind", "matching", "--count", "0"]),
         ({"k": 2, "instances": [{"kind": "star", "params": {"rays": 3}}]}, []),
         ({"k": 2}, ["--kind", "star", "--param", "rays=3"]),
+        ({"k": 2, "retires": 4,
+          "instances": [{"kind": "matching", "params": {"pairs": 2}}]}, []),
+        ({"k": 2, "instances": [{"kind": "matching", "cout": 2,
+                                 "params": {"pairs": 2}}]}, []),
     ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
             "spec-not-an-object", "unknown-kind", "count-not-an-integer",
             "count-zero", "params-not-an-object", "instances-not-a-list",
             "k-not-an-integer", "inline-count-zero", "unknown-generator-param",
-            "inline-unknown-generator-param"])
+            "inline-unknown-generator-param", "unknown-spec-key",
+            "unknown-block-key"])
     def test_bad_run_parameters_are_usage_errors(self, spec, flags, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -498,32 +495,13 @@ class TestMixing:
         assert rows[0].startswith("k,")
         assert len(rows) == 4
 
-    def test_failing_rows_still_printed(self, capsys):
-        code, out, err = run(
-            ["mixing", "--threshold-exponent", "1", "--k-max", "6"], capsys
-        )
+    def test_failing_rows_still_printed(self, capsys, skewed_at_five):
+        code, out, err = run(["mixing", "--k-max", "6"], capsys)
         assert code == 1
         rows = out.strip().splitlines()
         assert [row.split()[0] for row in rows] == ["k", "2", "3", "4", "5", "6"]
         assert "Traceback" not in err
-        assert "k = " in err and "5" in err.split("k = ")[1].split(", ")
-
-
-    def test_threshold_exponent_up_to_the_largest_double(self, capsys):
-        code, out, err = run(
-            ["mixing", "--threshold-exponent", "646", "--k-max", "3"], capsys
-        )
-        assert code == 0
-        assert [row.split()[0] for row in out.strip().splitlines()] == ["k", "2", "3"]
-        assert err == ""
-
-    def test_threshold_exponent_beyond_a_double_is_a_usage_error(self, capsys):
-        code, out, err = run(
-            ["mixing", "--threshold-exponent", "647", "--k-max", "3"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "k = " in err and "5" in err.strip().split("k = ")[1].split(", ")
 
 
     @pytest.mark.parametrize("k_max", ["1", "0", "-3"])
@@ -546,25 +524,6 @@ class TestModuleEntryPoints:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.splitlines()[0].split()[0] == "k"
-
-
-class TestSeedEnvironment:
-    def test_env_seed_used_as_default(self, capsys, monkeypatch, tmp_path):
-        args = ["gen", "--kind", "random",
-                "--param", "n1=4", "--param", "n2=4", "--param", "p=0.5"]
-        monkeypatch.setenv("MODDEG_SEED", "7")
-        _, out_env, _ = run(args, capsys)
-        monkeypatch.delenv("MODDEG_SEED")
-        _, out_explicit, _ = run(args + ["--seed", "7"], capsys)
-        assert out_env == out_explicit
-
-    def test_invalid_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MODDEG_SEED", "lots")
-        code, out, err = run(["gen", "--kind", "random", "--param", "n1=2",
-                              "--param", "n2=2", "--param", "p=0.5"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: MODDEG_SEED must be an integer, got 'lots'\n"
 
 
 # Inputs for the boundary fuzz test: integers stay small so every run is quick.

@@ -323,8 +323,35 @@ class TestRouteIngredients:
             k=3, levels=(ChainLevel({2: 0}),), remainder=VertexSet.from_ids([1])
         )
         with pytest.raises(ConstructionError) as caught:
-            largest_dyadic_bucket(g, chain, chain.remainder, threshold_exponent=3)
+            largest_dyadic_bucket(g, chain, chain.remainder)
         assert str(caught.value) == "vertex 1 has degree 0, outside [1, 27)"
+
+    @pytest.mark.parametrize("k", [2**21, 10**20])
+    def test_cut_beyond_int64_splits_as_python_ints_do(self, k):
+        # at k = 2**21 the cut k**3 is 2**63, one past the largest int64;
+        # remainder vertices 7..10 have degrees 1, 2, 3 and 7 into side 2
+        g = staircase_graph()
+        chain = DominatingChain(
+            k=k,
+            levels=(ChainLevel({11 + i: i for i in range(7)}),),
+            remainder=VertexSet.from_ids([7, 8, 9, 10]),
+        )
+        ids, degrees = g.degrees_into(chain.remainder, chain.deepest)
+        pairs = list(zip(ids.tolist(), degrees.tolist()))
+        assert pairs == [(7, 1), (8, 2), (9, 3), (10, 7)]
+        heavy = {v for v, d in pairs if d >= k**3}
+        buckets: dict[int, set[int]] = {}
+        for v, d in pairs:
+            if d < k**3:
+                buckets.setdefault(d.bit_length() - 1, set()).add(v)
+        fullest = max(len(b) for b in buckets.values())
+        exponent = min(e for e, b in buckets.items() if len(b) == fullest)
+
+        assert set(high_degree_targets(g, chain)) == heavy
+        rest = chain.remainder - VertexSet.from_ids(heavy)
+        assert largest_dyadic_bucket(g, chain, rest) == (
+            exponent, VertexSet.from_ids(buckets[exponent])
+        )
 
     @given(bipartite_graphs(max_side1=8, max_side2=8), st.integers(2, 4))
     @settings(max_examples=60)
@@ -436,16 +463,12 @@ class TestFixDegrees:
 
 
 class TestAnalysisConfig:
-    """The report-only route shares and the high-degree threshold exponent."""
+    """The report-only route shares."""
 
     def test_default_shares(self):
         assert MATCHING_SHARE == Fraction(1, 3) - Fraction(1, 2000)
         assert HEAVY_SHARE == Fraction(2, 3) - Fraction(1, 1000)
         assert MATCHING_SHARE + HEAVY_SHARE < 1
-
-    def test_invalid_configs(self):
-        with pytest.raises(ValueError):
-            find_mod_one_subgraph(matching(2), 2, threshold_exponent=0)
 
 
 class TestFindModOneSubgraph:

@@ -174,23 +174,15 @@ class TestUniformityCheck:
         with pytest.raises(ValueError, match=f"^k-max must be >= 2, got {k_max}$"):
             mixing.uniformity_table(k_max)
 
-    def test_failure_is_reported_not_raised(self):
-        check = mixing.uniformity_check(5, threshold_exponent=1)
-        assert check.n == 5
+    def test_failure_is_reported_not_raised(self, skewed_at_five):
+        check = mixing.uniformity_check(5)
+        assert check.n == 125
         assert check.ratio < 0.95
         assert not check.passed
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             mixing.uniformity_check(1)
-        with pytest.raises(ValueError):
-            mixing.uniformity_check(3, threshold_exponent=-1)
-
-    def test_exponent_beyond_a_double_is_rejected(self):
-        assert mixing.uniformity_check(2, threshold_exponent=1023).passed
-        for k, exponent in ((2, 1024), (3, 647), (25, 10**12)):
-            with pytest.raises(ValueError, match="fit a double"):
-                mixing.uniformity_check(k, threshold_exponent=exponent)
 
 
 def brute_conditional_expectation(
