@@ -7,9 +7,7 @@ The final table shows the balanced complete graphs pinning the value at 2,
 which is what makes the 1/k share asymptotically unbeatable.
 """
 
-from fractions import Fraction
-
-from moddeg import ResidueSpec, enumerate_max_order, exact_max_order, min_ratio_report
+from moddeg import ResidueSpec, enumerate_max_order, exact_max_order
 from moddeg.generators import complete_bipartite, matching, star
 from moddeg.graph import BipartiteGraph
 
@@ -51,8 +49,7 @@ def main() -> None:
 
     print("\nbalanced complete graphs, target degree 1 mod k:")
     for k in range(2, 7):
-        report = min_ratio_report([complete_bipartite(k, k)], ResidueSpec(1, k))
-        assert report.min_ratio == Fraction(1, k)
+        assert exact_max_order(complete_bipartite(k, k), ResidueSpec(1, k)).order == 2
         print(f"  k = {k}: maximum order 2 of {2 * k} vertices, share 1/{k}")
 
 

@@ -63,11 +63,8 @@ from .mixing import (
 from .oracle import (
     ENUMERATION_LIMIT,
     OracleResult,
-    RatioReport,
-    RatioRow,
     enumerate_max_order,
     exact_max_order,
-    min_ratio_report,
 )
 
 __version__ = "0.1.0"
@@ -87,8 +84,6 @@ __all__ = [
     "IsolatedVertexError",
     "NotBipartiteError",
     "OracleResult",
-    "RatioReport",
-    "RatioRow",
     "ResidueCheck",
     "ResidueDistribution",
     "ResidueSpec",
@@ -108,7 +103,6 @@ __all__ = [
     "high_degree_targets",
     "largest_dyadic_bucket",
     "matching_candidate",
-    "min_ratio_report",
     "minimal_dominating_set",
     "parse_graph",
     "residue_distribution",

@@ -10,17 +10,19 @@ Subcommands:
 * ``bench``   run a reproducible batch and print a canonical report
 * ``mixing``  near-uniformity table for the dyadic residue distribution
 
+``bench`` takes its whole batch from one JSON spec file: the modulus, mode,
+seed, retries and instance list.
+
 Exit status: 0 on success with all verifications passing, 1 when a
 verification or cross-check fails, 2 for bad input or bad usage.  An
-omitted ``--seed`` means 0, except that ``bench`` takes the spec file's seed
-first.  The high-degree cut of ``find`` and the term count of ``mixing`` are
-both k^3 (:func:`moddeg.mixing.high_degree_cut`).
+omitted ``--seed`` or spec ``"seed"`` means 0.  The high-degree cut of
+``find`` and the term count of ``mixing`` are both k^3
+(:func:`moddeg.mixing.high_degree_cut`).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -148,38 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a reproducible batch")
     bench.add_argument(
         "--spec",
-        default=None,
+        required=True,
         metavar="PATH",
-        help="JSON batch spec file with keys k, mode, seed, retries, instances "
-        "(a list of {kind, count, params}); command-line flags win on overlap",
-    )
-    bench.add_argument(
-        "--kind",
-        default=None,
-        choices=sorted(generators.GENERATORS),
-        help="instance family (inline alternative to --spec)",
-    )
-    bench.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        type=_parse_param,
-        metavar="KEY=VALUE",
-        help="generator parameter, repeatable",
-    )
-    bench.add_argument("--count", type=int, default=10, help="number of instances")
-    bench.add_argument("--k", type=int, default=None, help="modulus, at least 2")
-    bench.add_argument(
-        "--mode",
-        choices=("sampled", "derandomized"),
-        default=None,
-        help="subset selection strategy (default: sampled)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=None, help="master seed (default: spec, else 0)"
-    )
-    bench.add_argument(
-        "--retries", type=int, default=None, help="sampling draws per route"
+        help="JSON batch spec file with keys k, mode, seed, retries and instances "
+        "(a non-empty list of {kind, count, params}); k and instances are required",
     )
     bench.add_argument(
         "--oracle-max-n",
@@ -302,15 +276,17 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
     if not isinstance(file_spec, dict):
         raise ValueError(f"{path}: a batch spec must be a JSON object")
     _reject_unknown_keys(file_spec, SPEC_KEYS, path)
+    for key in ("k", "instances"):
+        if key not in file_spec:
+            raise ValueError(f'{path}: "{key}" is required')
     for key in ("k", "retries", "seed"):
         value = file_spec.get(key, 0)
         if type(value) is not int:  # bool is an int subclass; reject it too
             raise ValueError(f'{path}: "{key}" must be an integer, got {value!r}')
-    blocks = file_spec.get("instances", [])
-    if not isinstance(blocks, list):
-        raise ValueError(f'{path}: "instances" must be a list, got {blocks!r}')
+    blocks = file_spec["instances"]
+    if not isinstance(blocks, list) or not blocks:
+        raise ValueError(f'{path}: "instances" must be a non-empty list, got {blocks!r}')
     specs: list[tuple[str, dict]] = []
-    known = sorted(generators.GENERATORS)
     for index, block in enumerate(blocks):
         where = f"{path}: instance block {index}"
         if not isinstance(block, dict) or "kind" not in block:
@@ -318,8 +294,6 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
         _reject_unknown_keys(block, BLOCK_KEYS, where)
         kind, count = block["kind"], block.get("count", 1)
         params = block.get("params", {})
-        if kind not in known:
-            raise ValueError(f"{where}: unknown kind {kind!r}; known kinds: {known}")
         if type(count) is not int or count < 1:
             raise ValueError(f'{where}: "count" must be an integer >= 1, got {count!r}')
         if not isinstance(params, dict):
@@ -338,44 +312,22 @@ def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> N
 
 
 def _check_params(kind: str, params: dict, where: str) -> None:
-    """Reject generator parameter names that ``kind`` does not take, or a
-    missing required one, before any instance runs.  A name it does not take
-    is named first: a misspelled name also leaves the right one missing."""
-    signature = inspect.signature(generators.GENERATORS[kind])
-    taken = signature.replace(
-        parameters=[p for name, p in signature.parameters.items() if name != "rng"]
-    )
+    """:func:`moddeg.generators.check_params`, its message prefixed by where
+    the parameters came from."""
     try:
-        taken.bind_partial(**params)
-        taken.bind(**params)
-    except TypeError as exc:
-        raise ValueError(f"{where}: bad parameters for {kind!r}: {exc}") from None
+        generators.check_params(kind, params)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _cmd_bench(args) -> int:
-    file_spec: dict = {}
-    specs: list[tuple[str, dict]] = []
-    if args.spec is not None:
-        file_spec, specs = _load_spec(args.spec)
-    if args.kind is not None:
-        if args.count < 1:
-            raise ValueError("--count must be at least 1")
-        _check_params(args.kind, dict(args.param), "--param")
-        specs.extend([(args.kind, dict(args.param))] * args.count)
-    if not specs:
-        raise ValueError("no instances; pass --spec or --kind")
-    k = args.k if args.k is not None else file_spec.get("k")
-    if k is None:
-        raise ValueError("no modulus; pass --k or put k in the spec file")
-    mode = args.mode if args.mode is not None else file_spec.get("mode", "sampled")
-    retries = args.retries if args.retries is not None else file_spec.get("retries", 16)
-    seed = args.seed if args.seed is not None else file_spec.get("seed", 0)
+    file_spec, specs = _load_spec(args.spec)
     report = harness.run_batch(
         specs,
-        k,
-        mode=mode,
-        seed=seed,
-        retries=retries,
+        file_spec["k"],
+        mode=file_spec.get("mode", "sampled"),
+        seed=file_spec.get("seed", 0),
+        retries=file_spec.get("retries", 16),
         oracle_max_n=args.oracle_max_n,
     )
     if args.format == "json":

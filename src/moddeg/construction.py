@@ -154,6 +154,10 @@ def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
     candidates = graph.side2
     levels = []
     for _ in range(k - 1):
+        if not targets:
+            # nothing left to dominate: every later level is empty
+            levels.extend([ChainLevel({})] * (k - 1 - len(levels)))
+            break
         level = minimal_dominating_set(graph, targets, candidates)
         levels.append(level)
         targets = targets - level.privates

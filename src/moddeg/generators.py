@@ -4,11 +4,14 @@ All generators return graphs that pass full validation: both sides
 non-empty, no isolated vertices.  Random generators take an explicit
 :class:`random.Random` so callers control reproducibility; module-level
 :func:`generate` is a string-keyed dispatch used by the command line and the
-batch harness, and returns a descriptor naming the instance.
+batch harness, and returns a descriptor naming the instance.  It checks the
+parameters with :func:`check_params`, which the command line also calls to
+reject a bad spec file before any instance runs.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Iterator
 
@@ -17,12 +20,14 @@ from .graph import BipartiteGraph, GraphError
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     """All a*b cross edges; the classic tight family for the mod-k problem."""
+    _check_sides(a=a, b=b)
     edges = [(u, a + w) for u in range(a) for w in range(b)]
     return BipartiteGraph.from_edges(a, b, edges)
 
 
 def matching(pairs: int) -> BipartiteGraph:
     """``pairs`` disjoint edges; every degree is already 1."""
+    _check_sides(pairs=pairs)
     edges = [(i, pairs + i) for i in range(pairs)]
     return BipartiteGraph.from_edges(pairs, pairs, edges)
 
@@ -44,11 +49,12 @@ def star(leaves: int, center_side: int = 1) -> BipartiteGraph:
     raise ValueError(f"center_side must be 1 or 2, got {center_side}")
 
 
-def _check_sides(n1: int, n2: int) -> None:
-    """Refuse an empty side before any draw, with the message of
-    :meth:`BipartiteGraph.from_edges`."""
-    if n1 < 1 or n2 < 1:
-        raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
+def _check_sides(**sizes: int) -> None:
+    """Refuse an empty side before any work, naming the generator's own
+    parameters in the message of :meth:`BipartiteGraph.from_edges`."""
+    if min(sizes.values()) < 1:
+        got = ", ".join(f"{name}={size}" for name, size in sizes.items())
+        raise GraphError(f"both sides must be non-empty, got {got}")
 
 
 def random_bipartite(
@@ -61,7 +67,7 @@ def random_bipartite(
     always validates.  Draw order is fixed: pairs in ascending (u, w) order,
     then repairs in ascending id order.
     """
-    _check_sides(n1, n2)
+    _check_sides(n1=n1, n2=n2)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     present = [[rng.random() < p for _ in range(n2)] for _ in range(n1)]
@@ -86,7 +92,7 @@ def random_regularish(
     get one random partner afterwards.  Useful for large sparse instances
     where an edge-probability model would be dense or disconnected.
     """
-    _check_sides(n1, n2)
+    _check_sides(n1=n1, n2=n2)
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree > n2:
@@ -171,23 +177,45 @@ GENERATORS = {
 
 _SEEDED = {"random", "regularish"}
 
+# what a parameter annotated with each type accepts; bool is not a number here
+_ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def check_params(kind: str, params: dict) -> None:
+    """Reject an unknown ``kind``, a parameter name its generator does not
+    take, a missing required one, or a value its annotation does not accept,
+    before anything is built.  A name it does not take is named first: a
+    misspelled name also leaves the right one missing."""
+    if not isinstance(kind, str) or kind not in GENERATORS:
+        known = ", ".join(sorted(GENERATORS))
+        raise ValueError(f"unknown generator {kind!r}; known kinds: {known}")
+    signature = inspect.signature(GENERATORS[kind], eval_str=True)
+    taken = signature.replace(
+        parameters=[p for name, p in signature.parameters.items() if name != "rng"]
+    )
+    try:
+        taken.bind_partial(**params)
+        taken.bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for {kind!r}: {exc}") from None
+    for name, value in params.items():
+        types, noun = _ACCEPTED[taken.parameters[name].annotation]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(
+                f"bad parameters for {kind!r}: {name!r} must be {noun}, got {value!r}"
+            )
+
 
 def generate(kind: str, seed: int | None = None, **params) -> tuple[BipartiteGraph, str]:
     """Build an instance by family name; returns (graph, descriptor).
 
     The descriptor encodes the family, its parameters, and the seed when one
     was used, so batch reports can name every instance unambiguously.
+    Parameters are checked first by :func:`check_params`.
     """
-    if kind not in GENERATORS:
-        known = ", ".join(sorted(GENERATORS))
-        raise ValueError(f"unknown generator {kind!r}; known kinds: {known}")
+    check_params(kind, params)
     label = ",".join(f"{key}={params[key]}" for key in sorted(params))
-    try:
-        if kind in _SEEDED:
-            graph = GENERATORS[kind](**params, rng=random.Random(seed))
-            return graph, f"{kind}({label},seed={seed})"
-        graph = GENERATORS[kind](**params)
-        return graph, f"{kind}({label})"
-    except TypeError as exc:
-        # wrong or missing parameter names are a usage error, not a crash
-        raise ValueError(f"bad parameters for {kind!r}: {exc}") from exc
+    if kind in _SEEDED:
+        graph = GENERATORS[kind](**params, rng=random.Random(seed))
+        return graph, f"{kind}({label},seed={seed})"
+    return GENERATORS[kind](**params), f"{kind}({label})"

@@ -533,7 +533,9 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
         adjacency.setdefault(v, set()).add(u)
 
     # 2-color each component; the class holding the component's smallest id
-    # goes to group A so the split is deterministic.
+    # goes to group A so the split is deterministic.  Components start in
+    # ascending order, so group A holds the smallest id and keeps side 1 on
+    # a tie.
     color: dict[int, int] = {}
     group_a: set[int] = set()
     group_b: set[int] = set()
@@ -557,9 +559,7 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
         group_a.update(component[0])
         group_b.update(component[1])
 
-    if len(group_b) > len(group_a) or (
-        len(group_b) == len(group_a) and min(group_b) < min(group_a)
-    ):
+    if len(group_b) > len(group_a):
         group_a, group_b = group_b, group_a
     side1 = sorted(group_a)
     side2 = sorted(group_b)

@@ -21,8 +21,6 @@ result is 0 exactly when no non-empty witness exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,91 +209,4 @@ def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResul
         explored=1 << n,
         budget=1 << n,
         timed_out=False,
-    )
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    """One graph's exact value next to its order."""
-
-    index: int
-    order: int
-    value: int
-    timed_out: bool
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.value, self.order)
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Smallest value/order ratio across a batch of graphs.
-
-    Rows flagged ``timed_out`` carry lower bounds on their true values, so
-    ``min_ratio`` is always a sound lower bound on the true minimum; it is
-    the exact minimum when ``exact`` holds (no row timed out).
-    """
-
-    spec: ResidueSpec
-    rows: tuple[RatioRow, ...]
-    min_ratio: Fraction
-    argmin_index: int
-
-    @property
-    def exact(self) -> bool:
-        return all(not row.timed_out for row in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "residue": self.spec.residue,
-            "modulus": self.spec.modulus,
-            "count": len(self.rows),
-            "min_ratio": str(self.min_ratio),
-            "min_ratio_float": float(self.min_ratio),
-            "argmin_index": self.argmin_index,
-            "exact": self.exact,
-            "rows": [
-                {
-                    "index": row.index,
-                    "order": row.order,
-                    "value": row.value,
-                    "timed_out": row.timed_out,
-                }
-                for row in self.rows
-            ],
-        }
-
-
-def min_ratio_report(
-    graphs: Iterable[BipartiteGraph] | Sequence[BipartiteGraph],
-    spec: ResidueSpec,
-    budget: int = 100_000_000,
-) -> RatioReport:
-    """Exact value over order for each graph, tracking the minimum.
-
-    The minimum of f/n over a graph family estimates the worst-case share
-    of vertices one can always keep; rows are preserved so callers can plot
-    or re-check individual graphs.
-    """
-    rows = []
-    for index, graph in enumerate(graphs):
-        result = exact_max_order(graph, spec, budget=budget)
-        rows.append(
-            RatioRow(
-                index=index,
-                order=graph.n,
-                value=result.order,
-                timed_out=result.timed_out,
-            )
-        )
-    if not rows:
-        raise ValueError("need at least one graph")
-    argmin = min(rows, key=lambda row: (row.ratio, row.index))
-    return RatioReport(
-        spec=spec,
-        rows=tuple(rows),
-        min_ratio=argmin.ratio,
-        argmin_index=argmin.index,
     )

@@ -28,6 +28,12 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 @pytest.fixture
 def star_file(tmp_path):
     path = tmp_path / "star.txt"
@@ -88,6 +94,8 @@ class TestGen:
         ("random", ["n1=3", "n2=-1", "p=0.5"], "got n1=3, n2=-1"),
         ("regularish", ["n1=0", "n2=3", "degree=2"], "got n1=0, n2=3"),
         ("regularish", ["n1=4", "n2=0", "degree=2"], "got n1=4, n2=0"),
+        ("matching", ["pairs=-1"], "got pairs=-1"),
+        ("complete", ["a=0", "b=2"], "got a=0, b=2"),
     ])
     def test_empty_side_is_a_usage_error(self, kind, params, message, capsys):
         args = ["gen", "--kind", kind]
@@ -97,6 +105,18 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert err == f"error: both sides must be non-empty, {message}\n"
+
+    @pytest.mark.parametrize("kind, param, message", [
+        ("star", "leaves=2.5", "'leaves' must be an integer, got 2.5"),
+        ("star", "leaves=x", "'leaves' must be an integer, got 'x'"),
+        ("random", "p=x", "'p' must be a number, got 'x'"),
+    ])
+    def test_param_of_the_wrong_type_is_a_usage_error(self, kind, param, message,
+                                                      capsys):
+        args = {"star": [], "random": ["--param", "n1=3", "--param", "n2=3"]}[kind]
+        code, out, err = run(["gen", "--kind", kind, *args, "--param", param], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --param: bad parameters for {kind!r}: {message}\n"
 
 
 class TestFind:
@@ -273,11 +293,12 @@ class TestByteIdentity:
         assert code == 0
         assert self.sha256(out) == self.FIND[sizes, k, mode]
 
-    def test_bench_json_with_oracle(self, capsys):
+    def test_bench_json_with_oracle(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"k": 3, "instances": [
+            {"kind": "random", "count": 20, "params": {"n1": 16, "n2": 10, "p": 0.25}},
+        ]})
         code, out, _ = run(
-            ["bench", "--kind", "random", "--param", "n1=16", "--param", "n2=10",
-             "--param", "p=0.25", "--count", "20", "--k", "3",
-             "--oracle-max-n", "30", "--format", "json"],
+            ["bench", "--spec", str(spec), "--oracle-max-n", "30", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -358,18 +379,23 @@ class TestOracle:
 
 
 class TestBench:
-    INLINE = ["bench", "--kind", "random", "--param", "n1=6", "--param", "n2=5",
-              "--param", "p=0.4", "--count", "5", "--k", "2", "--seed", "21"]
+    BATCH = {"k": 2, "seed": 21, "instances": [
+        {"kind": "random", "count": 5, "params": {"n1": 6, "n2": 5, "p": 0.4}},
+    ]}
 
-    def test_inline_batch_reproducible(self, capsys):
-        code1, out1, _ = run(self.INLINE, capsys)
-        code2, out2, _ = run(self.INLINE, capsys)
+    @pytest.fixture
+    def batch(self, tmp_path):
+        return ["bench", "--spec", str(write_spec(tmp_path, self.BATCH))]
+
+    def test_inline_batch_reproducible(self, batch, capsys):
+        code1, out1, _ = run(batch, capsys)
+        code2, out2, _ = run(batch, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.startswith("# schema_version=1 k=2 mode=sampled seed=21")
 
-    def test_json_format(self, capsys):
-        code, out, _ = run(self.INLINE + ["--format", "json"], capsys)
+    def test_json_format(self, batch, capsys):
+        code, out, _ = run(batch + ["--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["count"] == 5
@@ -393,69 +419,56 @@ class TestBench:
         assert out.count("matching") == 2
         assert out.count("complete") == 1
 
-    def test_cli_flags_override_spec_file(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "k": 3,
-            "instances": [{"kind": "matching", "params": {"pairs": 2}}],
-        }))
-        code, out, _ = run(["bench", "--spec", str(path), "--k", "5"], capsys)
-        assert code == 0
-        assert " k=5 " in out.splitlines()[0]
-
-    def test_oracle_column(self, capsys, tmp_path):
+    def test_oracle_column(self, batch, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
-        code = main(self.INLINE + ["--oracle-max-n", "14", "--out", str(out_path)])
+        code = main(batch + ["--oracle-max-n", "14", "--out", str(out_path)])
         assert code == 0
         body = out_path.read_text().splitlines()
         optimum_col = body[1].split(",").index("optimum")
         assert all(row.split(",")[optimum_col] != "" for row in body[2:])
 
     def test_missing_modulus(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
+        path = write_spec(tmp_path, {
             "instances": [{"kind": "matching", "params": {"pairs": 2}}],
-        }))
+        })
         code, _, err = run(["bench", "--spec", str(path)], capsys)
         assert code == 2
-        assert err == "error: no modulus; pass --k or put k in the spec file\n"
+        assert err == f'error: {path}: "k" is required\n'
 
-    def test_missing_instances(self, capsys):
-        code, _, err = run(["bench", "--k", "2"], capsys)
+    def test_missing_instances(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"k": 2})
+        code, _, err = run(["bench", "--spec", str(path)], capsys)
         assert code == 2
-        assert err == "error: no instances; pass --spec or --kind\n"
+        assert err == f'error: {path}: "instances" is required\n'
 
-    @pytest.mark.parametrize("spec, flags", [
-        ({"k": 2, "instances": [{"count": 2, "params": {"pairs": 2}}]}, []),
-        ({"k": 2, "mode": "greedy",
-          "instances": [{"kind": "matching", "params": {"pairs": 2}}]}, []),
-        ({"k": 2, "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
-         ["--retries", "0"]),
-        ([{"kind": "matching"}], []),
-        ({"k": 2, "instances": [{"kind": "nope", "count": 2}]}, []),
-        ({"k": 2, "instances": [{"kind": "matching", "count": "3"}]}, []),
-        ({"k": 2, "instances": [{"kind": "matching", "count": 0}]}, []),
-        ({"k": 2, "instances": [{"kind": "matching", "params": [1]}]}, []),
-        ({"k": 2, "instances": {"kind": "matching"}}, []),
-        ({"k": [2], "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
-         []),
-        ({"k": 2}, ["--kind", "matching", "--count", "0"]),
-        ({"k": 2, "instances": [{"kind": "star", "params": {"rays": 3}}]}, []),
-        ({"k": 2}, ["--kind", "star", "--param", "rays=3"]),
-        ({"k": 2, "retires": 4,
-          "instances": [{"kind": "matching", "params": {"pairs": 2}}]}, []),
-        ({"k": 2, "instances": [{"kind": "matching", "cout": 2,
-                                 "params": {"pairs": 2}}]}, []),
+    @pytest.mark.parametrize("spec", [
+        {"k": 2, "instances": [{"count": 2, "params": {"pairs": 2}}]},
+        {"k": 2, "mode": "greedy",
+         "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+        {"k": 2, "retries": 0,
+         "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+        [{"kind": "matching"}],
+        {"k": 2, "instances": [{"kind": "nope", "count": 2}]},
+        {"k": 2, "instances": [{"kind": "matching", "count": "3"}]},
+        {"k": 2, "instances": [{"kind": "matching", "count": 0}]},
+        {"k": 2, "instances": [{"kind": "matching", "params": [1]}]},
+        {"k": 2, "instances": {"kind": "matching"}},
+        {"k": [2], "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+        {"k": 2, "instances": [{"kind": "star", "params": {"rays": 3}}]},
+        {"k": 2, "retires": 4,
+         "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+        {"k": 2, "instances": [{"kind": "matching", "cout": 2,
+                                "params": {"pairs": 2}}]},
+        {"k": 2, "instances": []},
+        {"k": 2, "instances": [{"kind": ["star"]}]},
     ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
             "spec-not-an-object", "unknown-kind", "count-not-an-integer",
             "count-zero", "params-not-an-object", "instances-not-a-list",
-            "k-not-an-integer", "inline-count-zero", "unknown-generator-param",
-            "inline-unknown-generator-param", "unknown-spec-key",
-            "unknown-block-key"])
-    def test_bad_run_parameters_are_usage_errors(self, spec, flags, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        code, out, err = run(["bench", "--spec", str(path), *flags], capsys)
+            "k-not-an-integer", "unknown-generator-param", "unknown-spec-key",
+            "unknown-block-key", "instances-empty", "kind-not-a-string"])
+    def test_bad_run_parameters_are_usage_errors(self, spec, tmp_path, capsys):
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(["bench", "--spec", str(path)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -474,8 +487,24 @@ class TestBench:
         )
         assert solved["error"] is None and solved["verified"]
 
-    def test_timing_breaks_no_canonical_fields(self, capsys):
-        code, out, _ = run(self.INLINE + ["--timing"], capsys)
+    @pytest.mark.parametrize("params, message", [
+        ({"leaves": "x"}, "'leaves' must be an integer, got 'x'"),
+        ({"leaves": 2.5}, "'leaves' must be an integer, got 2.5"),
+        ({"leaves": 3, "center_side": True}, "'center_side' must be an integer, got True"),
+    ])
+    def test_param_of_the_wrong_type_is_a_usage_error(self, params, message,
+                                                      tmp_path, capsys):
+        path = write_spec(tmp_path, {"k": 2, "instances": [
+            {"kind": "star", "params": params},
+        ]})
+        code, out, err = run(["bench", "--spec", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: instance block 0: bad parameters for 'star': {message}\n"
+        )
+
+    def test_timing_breaks_no_canonical_fields(self, batch, capsys):
+        code, out, _ = run(batch + ["--timing"], capsys)
         assert code == 0
         assert out.splitlines()[1].endswith("elapsed_s")
 

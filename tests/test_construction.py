@@ -233,6 +233,20 @@ class TestBuildChain:
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
 
+    def test_levels_after_the_last_target_cost_no_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minimal_dominating_set(*args)
+
+        monkeypatch.setattr("moddeg.construction.minimal_dominating_set", counted)
+        g = star(6, center_side=2)  # each level claims one leaf as a private
+        chain = build_chain(g, 50)
+        assert len(calls) == 6
+        assert chain.dominator_sizes() == [1] * 6 + [0] * 43
+        assert check_chain(g, chain) == []
+
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             build_chain(matching(2), 1)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,6 @@ from moddeg import (
     VertexSet,
     enumerate_max_order,
     exact_max_order,
-    min_ratio_report,
     verify_residue,
 )
 from moddeg.generators import complete_bipartite, generate, matching, star
@@ -45,6 +43,7 @@ FROZEN_VALUES = [
     (lambda: complete_bipartite(3, 3), (0, 2), 4),
     (lambda: complete_bipartite(3, 3), (1, 2), 6),
     (lambda: complete_bipartite(2, 3), (1, 2), 4),
+    (lambda: matching(1), (1, 2), 2),
 ]
 
 
@@ -203,40 +202,3 @@ class TestInvariance:
         assert exact_max_order(transpose(g), spec).order == (
             exact_max_order(g, spec).order
         )
-
-
-class TestMinRatioReport:
-    def test_complete_balanced_family(self):
-        # [DERIVED] value 2 over order 2k gives exactly 1/k
-        for k in range(2, 6):
-            report = min_ratio_report([complete_bipartite(k, k)], ResidueSpec(1, k))
-            assert report.min_ratio == Fraction(1, k)
-            assert report.exact
-
-    def test_single_edge_ratio_one(self):
-        report = min_ratio_report([matching(1)], ResidueSpec(1, 2))
-        assert report.min_ratio == Fraction(1)
-
-    def test_rows_and_argmin(self):
-        graphs = [matching(1), complete_bipartite(3, 3), cycle6()]
-        report = min_ratio_report(graphs, ResidueSpec(1, 3))
-        assert [row.index for row in report.rows] == [0, 1, 2]
-        assert [row.value for row in report.rows] == [2, 2, 4]
-        assert [row.order for row in report.rows] == [2, 6, 6]
-        assert report.min_ratio == Fraction(1, 3)
-        assert report.argmin_index == 1
-        payload = report.to_dict()
-        assert payload["min_ratio"] == "1/3"
-        assert payload["argmin_index"] == 1
-        assert payload["exact"] is True
-
-    def test_timed_out_rows_break_exactness(self):
-        report = min_ratio_report(
-            [complete_bipartite(7, 7)], ResidueSpec(1, 2), budget=5
-        )
-        assert not report.exact
-        assert report.rows[0].timed_out
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            min_ratio_report([], ResidueSpec(1, 2))
