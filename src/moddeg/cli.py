@@ -28,7 +28,13 @@ import sys
 
 from . import generators, harness, mixing, oracle
 from .construction import find_mod_one_subgraph
-from .graph import ResidueSpec, parse_graph, serialize_graph, verify_residue
+from .graph import (
+    GraphError,
+    ResidueSpec,
+    parse_graph,
+    serialize_graph,
+    verify_residue,
+)
 
 SPEC_KEYS = ("k", "mode", "seed", "retries", "instances")
 BLOCK_KEYS = ("kind", "count", "params")
@@ -259,7 +265,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = dict(args.param)
-    _check_params(args.kind, params, "--param")
+    try:
+        generators.check_params(args.kind, params)
+    except GraphError:
+        raise  # an empty side reads as from_edges words it, with no prefix
+    except ValueError as exc:
+        raise ValueError(f"--param: {exc}") from None
     graph, descriptor = generators.generate(args.kind, seed=args.seed, **params)
     _write_out(f"# {descriptor}\n" + serialize_graph(graph), args.out)
     return 0
@@ -298,7 +309,10 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
             raise ValueError(f'{where}: "count" must be an integer >= 1, got {count!r}')
         if not isinstance(params, dict):
             raise ValueError(f'{where}: "params" must be an object, got {params!r}')
-        _check_params(kind, params, where)
+        try:
+            generators.check_params(kind, params)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         specs.extend([(kind, params)] * count)
     return file_spec, specs
 
@@ -309,15 +323,6 @@ def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> N
         raise ValueError(
             f"{where}: unknown key {unknown[0]!r}; known keys: {', '.join(known)}"
         )
-
-
-def _check_params(kind: str, params: dict, where: str) -> None:
-    """:func:`moddeg.generators.check_params`, its message prefixed by where
-    the parameters came from."""
-    try:
-        generators.check_params(kind, params)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def _cmd_bench(args) -> int:

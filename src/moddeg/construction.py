@@ -102,35 +102,46 @@ def minimal_dominating_set(
     minimality guarantees one exists for every kept dominator.  The mapping
     is ordered by private.
 
-    Cost: a few O(n + E) array passes, one of them the masked pass over all
-    rows that finds the privates, plus one Python step per candidate: a
-    gather, a ``min()`` and at most one scatter over its row of the
-    adjacency, so O(|candidates| + E) in all.
+    Cost: the removal order makes a target block a removal only at its last
+    (largest-id) candidate neighbour, and only while none of its earlier
+    candidate neighbours was kept.  So a candidate is kept exactly when it is
+    the last candidate neighbour of a target that no kept candidate
+    dominates yet, and it is found with a few O(n + E) array passes over the
+    targets' rows plus one Python step per distinct last candidate: a check
+    of the targets it is last for and, if it is kept, one write per entry of
+    its row.  A candidate that is last for no target leaves without any
+    work, so O(|candidates| + E) in all.
 
     Raises :class:`DominationError` if some target has no candidate
     neighbour at all.
     """
-    ids, counts = graph.degrees_into(targets, candidates)
+    ids, counts, last = graph.last_neighbors(targets, candidates)
     if not counts.all():
         v = int(ids[counts.argmin()])
         raise DominationError(f"target {v} has no neighbour among candidates")
-    # each target's count of candidate neighbours still in; other vertices
-    # hold more than any count can fall by, so they never block a removal
-    live = np.full(graph.n, graph.n + 2, dtype=np.int64)
-    live[ids] = counts
+    if not ids.size:
+        return ChainLevel({})
+    # the targets grouped by their last candidate, ascending within a group:
+    # one sort of the keys (last candidate, target), each below n**2
+    owners, grouped = np.divmod(np.sort(last * graph.n + ids), graph.n)
+    starts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()]
+    grouped = grouped.tolist()
+    stops = starts[1:] + [len(grouped)]
 
     kept = []
-    for w in candidates.ids():
-        row = graph.neighbor_array(w)
-        touched = live[row]
-        if touched.min() >= 2:
-            live[row] = touched - 1
-        else:
-            kept.append(w)
+    dominated = bytearray(graph.n)
+    for w, start, stop in zip(owners[starts].tolist(), starts, stops):
+        for v in grouped[start:stop]:
+            if not dominated[v]:  # w is v's last chance, so w stays
+                kept.append(w)
+                for u in graph.neighbor_ids(w):
+                    dominated[u] = 1
+                break
 
-    # in ascending order of the privates, the first private of a dominator
-    # is its smallest one
-    privates, owners = graph.sole_neighbors(targets, VertexSet.from_ids(kept))
+    # a target with one kept neighbour is private to it; in ascending order
+    # of the privates, the first private of a dominator is its smallest one
+    ids, counts, last = graph.last_neighbors(targets, VertexSet.from_ids(kept))
+    privates, owners = ids[counts == 1], last[counts == 1]
     _, first = np.unique(owners, return_index=True)
     first.sort()
     private_of = dict(zip(owners[first].tolist(), privates[first].tolist()))

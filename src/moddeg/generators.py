@@ -15,6 +15,8 @@ import inspect
 import random
 from typing import Iterator
 
+import numpy as np
+
 from .graph import BipartiteGraph, GraphError
 
 
@@ -38,23 +40,10 @@ def star(leaves: int, center_side: int = 1) -> BipartiteGraph:
     ``center_side`` picks which side holds the hub; the two orientations
     exercise different branches of the constructive search.
     """
-    if leaves < 1:
-        raise ValueError(f"need at least one leaf, got {leaves}")
+    _check_star(leaves, center_side)
     if center_side == 1:
         return BipartiteGraph.from_edges(1, leaves, [(0, 1 + j) for j in range(leaves)])
-    if center_side == 2:
-        return BipartiteGraph.from_edges(
-            leaves, 1, [(j, leaves) for j in range(leaves)]
-        )
-    raise ValueError(f"center_side must be 1 or 2, got {center_side}")
-
-
-def _check_sides(**sizes: int) -> None:
-    """Refuse an empty side before any work, naming the generator's own
-    parameters in the message of :meth:`BipartiteGraph.from_edges`."""
-    if min(sizes.values()) < 1:
-        got = ", ".join(f"{name}={size}" for name, size in sizes.items())
-        raise GraphError(f"both sides must be non-empty, got {got}")
+    return BipartiteGraph.from_edges(leaves, 1, [(j, leaves) for j in range(leaves)])
 
 
 def random_bipartite(
@@ -67,9 +56,7 @@ def random_bipartite(
     always validates.  Draw order is fixed: pairs in ascending (u, w) order,
     then repairs in ascending id order.
     """
-    _check_sides(n1=n1, n2=n2)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_random(n1, n2, p)
     present = [[rng.random() < p for _ in range(n2)] for _ in range(n1)]
     for u in range(n1):
         if not any(present[u]):
@@ -92,18 +79,18 @@ def random_regularish(
     get one random partner afterwards.  Useful for large sparse instances
     where an edge-probability model would be dense or disconnected.
     """
-    _check_sides(n1=n1, n2=n2)
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if degree > n2:
-        raise ValueError(f"degree {degree} exceeds opposite side size {n2}")
-    chosen = [rng.sample(range(n2), degree) for _ in range(n1)]
-    covered = {w for row in chosen for w in row}
-    extra = [
-        (rng.randrange(n1), w) for w in range(n2) if w not in covered
-    ]
-    edges = [(u, n1 + w) for u, row in enumerate(chosen) for w in row]
-    edges.extend((u, n1 + w) for u, w in extra)
+    _check_regularish(n1, n2, degree)
+    chosen = np.array(
+        [rng.sample(range(n2), degree) for _ in range(n1)], dtype=np.int64
+    ).ravel()
+    uncovered = np.setdiff1d(np.arange(n2), chosen)
+    partners = np.array(
+        [rng.randrange(n1) for _ in range(uncovered.size)], dtype=np.int64
+    )
+    edges = np.column_stack((
+        np.concatenate((np.arange(n1).repeat(degree), partners)),
+        np.concatenate((chosen, uncovered)) + n1,
+    ))
     return BipartiteGraph.from_edges(n1, n2, edges)
 
 
@@ -167,12 +154,53 @@ def _rows_connected(rows: list[int], n1: int, n2: int) -> bool:
     return seen1 == (1 << n1) - 1 and seen2 == (1 << n2) - 1
 
 
+# The range rules of each generator's parameters.  Every generator calls its
+# rule before any work, and check_params calls the same rule, so a value out
+# of range is refused the same way whether a generator is called directly or
+# named in a spec.
+
+
+def _check_sides(**sizes: int) -> None:
+    """Refuse an empty side, naming the generator's own parameters in the
+    message of :meth:`BipartiteGraph.from_edges`."""
+    if min(sizes.values()) < 1:
+        got = ", ".join(f"{name}={size}" for name, size in sizes.items())
+        raise GraphError(f"both sides must be non-empty, got {got}")
+
+
+def _check_star(leaves: int, center_side: int = 1) -> None:
+    if leaves < 1:
+        raise ValueError(f"'leaves' must be >= 1, got {leaves}")
+    if center_side not in (1, 2):
+        raise ValueError(f"'center_side' must be 1 or 2, got {center_side}")
+
+
+def _check_random(n1: int, n2: int, p: float) -> None:
+    _check_sides(n1=n1, n2=n2)
+    if not 0 <= p <= 1:
+        raise ValueError(f"'p' must be in [0, 1], got {p}")
+
+
+def _check_regularish(n1: int, n2: int, degree: int) -> None:
+    _check_sides(n1=n1, n2=n2)
+    if not 1 <= degree <= n2:
+        raise ValueError(f"'degree' must be between 1 and n2={n2}, got {degree}")
+
+
 GENERATORS = {
     "complete": complete_bipartite,
     "matching": matching,
     "star": star,
     "random": random_bipartite,
     "regularish": random_regularish,
+}
+
+_RANGE_RULES = {
+    "complete": _check_sides,
+    "matching": _check_sides,
+    "star": _check_star,
+    "random": _check_random,
+    "regularish": _check_regularish,
 }
 
 _SEEDED = {"random", "regularish"}
@@ -183,9 +211,12 @@ _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 def check_params(kind: str, params: dict) -> None:
     """Reject an unknown ``kind``, a parameter name its generator does not
-    take, a missing required one, or a value its annotation does not accept,
-    before anything is built.  A name it does not take is named first: a
-    misspelled name also leaves the right one missing."""
+    take, a missing required one, a value its annotation does not accept, or
+    a value out of its generator's range, before anything is built.  A name
+    it does not take is named first: a misspelled name also leaves the right
+    one missing.  An empty side raises :class:`GraphError`, as
+    :meth:`BipartiteGraph.from_edges` does; every other error is a
+    ValueError that names the parameter."""
     if not isinstance(kind, str) or kind not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ValueError(f"unknown generator {kind!r}; known kinds: {known}")
@@ -204,6 +235,16 @@ def check_params(kind: str, params: dict) -> None:
             raise ValueError(
                 f"bad parameters for {kind!r}: {name!r} must be {noun}, got {value!r}"
             )
+    _RANGE_RULES[kind](**params)
+
+
+def describe(kind: str, params: dict, seed: int | None) -> str:
+    """The descriptor of an instance: its family, its parameters sorted by
+    name, and the seed for a family that draws at random."""
+    label = ",".join(f"{key}={params[key]}" for key in sorted(params))
+    if kind in _SEEDED:
+        return f"{kind}({label},seed={seed})"
+    return f"{kind}({label})"
 
 
 def generate(kind: str, seed: int | None = None, **params) -> tuple[BipartiteGraph, str]:
@@ -214,8 +255,8 @@ def generate(kind: str, seed: int | None = None, **params) -> tuple[BipartiteGra
     Parameters are checked first by :func:`check_params`.
     """
     check_params(kind, params)
-    label = ",".join(f"{key}={params[key]}" for key in sorted(params))
     if kind in _SEEDED:
         graph = GENERATORS[kind](**params, rng=random.Random(seed))
-        return graph, f"{kind}({label},seed={seed})"
-    return GENERATORS[kind](**params), f"{kind}({label})"
+    else:
+        graph = GENERATORS[kind](**params)
+    return graph, describe(kind, params, seed)

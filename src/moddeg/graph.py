@@ -11,10 +11,12 @@ from sorted ids goes through NumPy's bit packing instead of a walk over the
 bits.
 
 This module alone knows both formats.  The rest of the package works through
-:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (a list)
-or :meth:`BipartiteGraph.neighbor_array` (a read-only view of one row), and
-:meth:`BipartiteGraph.degrees_into` and :meth:`BipartiteGraph.sole_neighbors`,
-whose results come back as ``int64`` arrays aligned with the pool's ids.
+:class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (one row
+as a list), and :meth:`BipartiteGraph.degrees_into` and
+:meth:`BipartiteGraph.last_neighbors`, which read only the rows from a pool's
+first member to its last and return ``int64`` arrays aligned with the pool's
+ids: each member's neighbour count in a subset and, from the second, its
+largest neighbour there.
 
 A labeled document is read by one NumPy scan over its bytes when it is plain
 ASCII digits, blanks, comments and "\\n" or "\\r\\n" line ends, which is
@@ -273,42 +275,41 @@ class BipartiteGraph:
         indptr, indices = self.adj
         return indices[indptr[v]:indptr[v + 1]].tolist()
 
-    def neighbor_array(self, v: int) -> np.ndarray:
-        """Neighbours of ``v`` in ascending order, as a read-only ``int64``
-        view of the adjacency."""
-        indptr, indices = self.adj
-        return indices[indptr[v]:indptr[v + 1]]
-
     def degrees_into(
         self, pool: VertexSet, subset: VertexSet
     ) -> tuple[np.ndarray, np.ndarray]:
         """The members of ``pool`` in ascending order and each one's
         neighbour count inside ``subset``, as two aligned ``int64`` arrays."""
-        if not pool:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        ids = _bits(pool.mask).nonzero()[0].astype(np.int64, copy=False)
-        indptr, indices = self.adj
-        member = _bits(subset.mask, self.n)
-        # every row is non-empty (no isolated vertices), as reduceat needs
-        counts = np.add.reduceat(member[indices], indptr[:-1], dtype=np.int64)
-        return ids, counts[ids]
+        ids, rows, starts, _, hits = self._pool_rows(pool, subset)
+        return ids, np.add.reduceat(hits, starts, dtype=np.int64)[rows]
 
-    def sole_neighbors(
+    def last_neighbors(
         self, pool: VertexSet, subset: VertexSet
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The members of ``pool`` with exactly one neighbour in ``subset``,
-        in ascending order, and that neighbour, as two aligned ``int64``
-        arrays."""
-        ids, counts = self.degrees_into(pool, subset)
-        ids = ids[counts == 1]
-        if not ids.size:
-            return ids, ids
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The members of ``pool`` in ascending order, each one's neighbour
+        count inside ``subset`` and its largest neighbour inside ``subset``
+        (-1 if none), as three aligned ``int64`` arrays.  Where the count is
+        1, the largest neighbour is the only one."""
+        ids, rows, starts, entries, hits = self._pool_rows(pool, subset)
+        counts = np.add.reduceat(hits, starts, dtype=np.int64)[rows]
+        members = np.where(hits.view(bool), entries, -1)
+        return ids, counts, np.maximum.reduceat(members, starts)[rows]
+
+    def _pool_rows(
+        self, pool: VertexSet, subset: VertexSet
+    ) -> tuple[np.ndarray, ...]:
+        """The members of ``pool`` in ascending order, and the CSR rows from
+        the first member to the last: each member's row among them, each
+        row's start, the entries, and each entry's membership in ``subset``
+        as a 0/1 ``uint8``."""
+        ids = _bits(pool.mask).nonzero()[0].astype(np.int64, copy=False)
+        first, stop = (ids[0], ids[-1] + 1) if ids.size else (0, 0)
         indptr, indices = self.adj
-        member = _bits(subset.mask, self.n).view(bool)
-        # a row's one member is the sum of its members
-        hits = np.where(member[indices], indices, 0)
-        return ids, np.add.reduceat(hits, indptr[:-1])[ids]
+        # every row is non-empty (no isolated vertices), as reduceat needs
+        bounds = indptr[first:stop + 1]
+        entries = indices[bounds[0]:bounds[-1]]
+        hits = _bits(subset.mask, self.n)[entries]
+        return ids, ids - first, bounds[:-1] - bounds[0], entries, hits
 
     def edge_count(self) -> int:
         return len(self.adj[1]) // 2

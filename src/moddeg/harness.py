@@ -261,7 +261,7 @@ def run_batch(
             records.append(
                 BatchRecord(
                     index=index,
-                    descriptor=f"{kind}({params})",
+                    descriptor=generators.describe(kind, params, gen_seed),
                     k=k,
                     n1=0,
                     n2=0,

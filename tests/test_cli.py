@@ -473,19 +473,38 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_empty_side_in_a_spec_is_an_error_record(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"k": 2, "instances": [
-            {"kind": "regularish", "params": {"n1": 0, "n2": 3, "degree": 1}},
+    def test_empty_side_in_a_spec_is_a_usage_error(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"k": 2, "instances": [
             {"kind": "matching", "params": {"pairs": 2}},
-        ]}))
-        code, out, _ = run(["bench", "--spec", str(path), "--format", "json"], capsys)
-        assert code == 1
-        failed, solved = json.loads(out)["records"]
-        assert failed["error"] == (
-            "GraphError: both sides must be non-empty, got n1=0, n2=3"
+            {"kind": "regularish", "params": {"n1": 0, "n2": 3, "degree": 1}},
+        ]})
+        code, out, err = run(["bench", "--spec", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: instance block 1: "
+            "both sides must be non-empty, got n1=0, n2=3\n"
         )
-        assert solved["error"] is None and solved["verified"]
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("random", {"n1": 3, "n2": 3, "p": 2}, "'p' must be in [0, 1], got 2"),
+        ("random", {"n1": 3, "n2": 3, "p": -0.5}, "'p' must be in [0, 1], got -0.5"),
+        ("star", {"leaves": 3, "center_side": 3}, "'center_side' must be 1 or 2, got 3"),
+        ("star", {"leaves": 0}, "'leaves' must be >= 1, got 0"),
+        ("regularish", {"n1": 4, "n2": 3, "degree": 4},
+         "'degree' must be between 1 and n2=3, got 4"),
+        ("regularish", {"n1": 4, "n2": 3, "degree": 0},
+         "'degree' must be between 1 and n2=3, got 0"),
+        ("complete", {"a": 2, "b": 0}, "both sides must be non-empty, got a=2, b=0"),
+    ])
+    def test_value_out_of_range_is_a_usage_error(self, kind, params, message,
+                                                 tmp_path, capsys):
+        path = write_spec(tmp_path, {"k": 2, "instances": [
+            {"kind": "matching", "params": {"pairs": 2}},
+            {"kind": kind, "params": params},
+        ]})
+        code, out, err = run(["bench", "--spec", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: instance block 1: {message}\n"
 
     @pytest.mark.parametrize("params, message", [
         ({"leaves": "x"}, "'leaves' must be an integer, got 'x'"),

@@ -178,7 +178,10 @@ class TestMinimalDominatingSet:
         random_regularish(60, 30, 3, random.Random(1)),
         random_regularish(80, 20, 6, random.Random(2)),
         random_regularish(300, 150, 2, random.Random(3)),
-    ], ids=["complete", "star", "regularish-3", "regularish-6", "regularish-2"])
+        random_regularish(3000, 1500, 3, random.Random(11)),
+        random_regularish(400, 40, 20, random.Random(11)),
+    ], ids=["complete", "star", "regularish-3", "regularish-6", "regularish-2",
+            "regularish-sparse", "regularish-dense"])
     def test_every_chain_level_matches_the_reference_greedy(self, g):
         for k in range(2, 6):
             self.check_chain_levels(g, k)
@@ -187,6 +190,26 @@ class TestMinimalDominatingSet:
     @settings(max_examples=100, deadline=None)
     def test_random_chains_match_the_reference_greedy(self, g, k):
         self.check_chain_levels(g, k)
+
+    def test_no_targets_give_an_empty_level(self):
+        g = random_regularish(30, 12, 3, random.Random(4))
+        for candidates in (g.side2, VertexSet(), VertexSet.from_ids([30, 35])):
+            level = minimal_dominating_set(g, VertexSet(), candidates)
+            assert level.private_of == {}
+            assert level.dominators == VertexSet()
+
+    def test_candidate_next_to_no_target_is_never_kept(self):
+        # 3 and 4 both cover target 0; 5 touches only the non-target 1
+        g = BipartiteGraph.from_edges(
+            3, 4, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 6)]
+        )
+        level = minimal_dominating_set(g, VertexSet.from_ids([0]), g.side2)
+        assert level.private_of == {4: 0}
+        for targets in (VertexSet.from_ids([0]), VertexSet.from_ids([0, 2])):
+            want = reference_dominating_set(g, targets, g.side2)
+            level = minimal_dominating_set(g, targets, g.side2)
+            assert list(level.private_of.items()) == list(want.items())
+            assert level.dominators.isdisjoint(VertexSet.from_ids([5]))
 
     @staticmethod
     def check_chain_levels(g, k):

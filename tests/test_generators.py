@@ -9,6 +9,7 @@ import pytest
 
 from moddeg.generators import (
     GENERATORS,
+    check_params,
     complete_bipartite,
     enumerate_connected_bipartite,
     generate,
@@ -17,7 +18,7 @@ from moddeg.generators import (
     random_regularish,
     star,
 )
-from moddeg.graph import GraphError
+from moddeg.graph import BipartiteGraph, GraphError
 
 
 class TestFixedFamilies:
@@ -91,6 +92,28 @@ class TestRandomFamilies:
         assert rng.getstate() == random.Random(0).getstate()
 
 
+def reference_regularish(n1, n2, degree, rng):
+    """The generator's draws as tuples: one sample per side-1 vertex, then one
+    partner per uncovered side-2 vertex in ascending order."""
+    chosen = [rng.sample(range(n2), degree) for _ in range(n1)]
+    covered = {w for row in chosen for w in row}
+    edges = [(u, n1 + w) for u, row in enumerate(chosen) for w in row]
+    edges += [(rng.randrange(n1), n1 + w) for w in range(n2) if w not in covered]
+    return BipartiteGraph.from_edges(n1, n2, edges)
+
+
+@pytest.mark.parametrize("n1, n2, degree", [
+    (1, 1, 1), (2, 30, 1), (30, 2, 2), (50, 40, 3), (300, 30, 12),
+])
+def test_regularish_keeps_its_draws(n1, n2, degree):
+    for seed in range(3):
+        rng, same = random.Random(seed), random.Random(seed)
+        assert random_regularish(n1, n2, degree, rng) == reference_regularish(
+            n1, n2, degree, same
+        )
+        assert rng.getstate() == same.getstate()
+
+
 class TestDispatch:
     def test_known_kinds(self):
         assert set(GENERATORS) == {
@@ -109,6 +132,21 @@ class TestDispatch:
         g3, _ = generate("regularish", seed=4, n1=12, n2=8, degree=2)
         assert g1 == g2
         assert g1 != g3  # one collision would be astronomically unlucky
+
+    @pytest.mark.parametrize("kind, params, error", [
+        ("random", {"n1": 3, "n2": 3, "p": 1.5}, ValueError),
+        ("star", {"leaves": 2, "center_side": 0}, ValueError),
+        ("star", {"leaves": 0}, ValueError),
+        ("regularish", {"n1": 3, "n2": 2, "degree": 3}, ValueError),
+        ("matching", {"pairs": 0}, GraphError),
+    ])
+    def test_check_params_holds_the_range_rules(self, kind, params, error):
+        with pytest.raises(error) as checked:
+            check_params(kind, params)
+        seeded = {"rng": random.Random(0)} if kind in ("random", "regularish") else {}
+        with pytest.raises(error) as built:
+            GENERATORS[kind](**params, **seeded)
+        assert str(checked.value) == str(built.value)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator"):

@@ -206,6 +206,48 @@ class TestDegreeQueries:
         assert pairs(VertexSet(), g.vertices) == []
 
 
+class TestPoolRows:
+    """``degrees_into`` and ``last_neighbors`` read only the rows from the
+    pool's first member to its last; each is checked against a recount of
+    every member's whole row."""
+
+    @staticmethod
+    def pools(g):
+        yield from (g.side1, g.side2, g.vertices, VertexSet.from_ids([0]),
+                    VertexSet.from_ids([g.n - 1]), VertexSet())
+        yield VertexSet.from_ids(range(0, g.n, 3))  # spread over both sides
+
+    @staticmethod
+    def check(g, pool, subset):
+        members = set(subset)
+        rows = {v: [u for u in g.neighbor_ids(v) if u in members] for v in pool}
+        ids, counts = g.degrees_into(pool, subset)
+        same_ids, same_counts, last = g.last_neighbors(pool, subset)
+        for array in (ids, counts, same_ids, same_counts, last):
+            assert array.dtype == "int64"
+        assert ids.tolist() == same_ids.tolist() == list(rows)
+        assert counts.tolist() == same_counts.tolist() == [len(r) for r in rows.values()]
+        assert last.tolist() == [max(r, default=-1) for r in rows.values()]
+
+    @given(bipartite_graphs(), id_sets)
+    def test_every_pool_matches_a_recount(self, g, subset):
+        subset = VertexSet.from_ids(subset) & g.vertices
+        for pool in self.pools(g):
+            for s in (subset, VertexSet(), g.vertices):
+                self.check(g, pool, s)
+
+    def test_sole_neighbour_is_the_last_one(self):
+        g = BipartiteGraph.from_edges(3, 2, [(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)])
+        ids, counts, last = g.last_neighbors(g.side1, VertexSet.from_ids([3]))
+        assert (ids.tolist(), counts.tolist(), last.tolist()) == (
+            [0, 1, 2], [1, 0, 1], [3, -1, 3]
+        )
+        ids, counts, last = g.last_neighbors(g.side2, g.side1)
+        assert (ids.tolist(), counts.tolist(), last.tolist()) == (
+            [3, 4], [2, 3], [2, 2]
+        )
+
+
 class TestVerifyResidue:
     def test_single_edge_all_moduli(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])

@@ -131,6 +131,18 @@ class TestErrorContinuation:
         assert info["errors"] == 1
         assert info["all_verified"] is False
 
+    def test_error_record_names_the_instance_as_generate_does(self):
+        specs = [
+            ("random", {"p": 2, "n2": 3, "n1": 3}),
+            ("star", {"leaves": 3, "center_side": 3}),
+        ]
+        report = run_batch(specs, 2, seed=8)
+        seeded, fixed = report.records
+        assert seeded.descriptor == f"random(n1=3,n2=3,p=2,seed={seeded.gen_seed})"
+        assert seeded.error == "ValueError: 'p' must be in [0, 1], got 2"
+        assert fixed.descriptor == "star(center_side=3,leaves=3)"
+        assert fixed.error == "ValueError: 'center_side' must be 1 or 2, got 3"
+
     def test_error_records_survive_serialization(self):
         specs = [("regularish", {"n1": 2, "n2": 2, "degree": 9})]
         report = run_batch(specs, 2, seed=8)

@@ -1,10 +1,11 @@
 """The storage formats of graphs and vertex sets stay inside ``graph.py``.
 
 Every other module, test and demo works through ``VertexSet`` operations,
-``BipartiteGraph.neighbor_ids``, ``BipartiteGraph.neighbor_array`` (a
-read-only view of one row), ``BipartiteGraph.degrees_into`` and
-``BipartiteGraph.sole_neighbors`` (ids and counts or neighbours as aligned
-int64 arrays), so a new graph representation has to change one file only.  ``tests/test_graph.py`` tests that file and is exempt.
+``BipartiteGraph.neighbor_ids`` (one row as a list),
+``BipartiteGraph.degrees_into`` and ``BipartiteGraph.last_neighbors`` (a
+pool's ids with counts, and largest neighbours, as aligned int64 arrays), so
+a new graph representation has to change one file only.
+``tests/test_graph.py`` tests that file and is exempt.
 """
 
 from __future__ import annotations
