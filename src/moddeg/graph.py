@@ -316,10 +316,15 @@ class BipartiteGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (side-1 id, side-2 id), sorted."""
+        return list(zip(*(ends.tolist() for ends in self._edge_ends())))
+
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The side-1 and the side-2 end of every edge, as two aligned
+        arrays in sorted edge order."""
         indptr, indices = self.adj
         side1_rows = indptr[: self.n1 + 1]
         left = np.repeat(np.arange(self.n1), np.diff(side1_rows))
-        return list(zip(left.tolist(), indices[: side1_rows[-1]].tolist()))
+        return left, indices[: side1_rows[-1]]
 
 
 def verify_residue(
@@ -572,6 +577,8 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
 
 def serialize_graph(graph: BipartiteGraph) -> str:
     """Emit the labeled canonical form: header line, then sorted edges."""
-    lines = [f"{graph.n1} {graph.n2}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+    left, right = graph._edge_ends()
+    # one formatting pass over the interleaved ids u0 w0 u1 w1 ...
+    ids = np.stack((left, right), axis=1).ravel().tolist()
+    lines = ("%d %d\n" * len(left)) % tuple(ids)
+    return f"{graph.n1} {graph.n2}\n" + lines

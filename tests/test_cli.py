@@ -265,6 +265,13 @@ class TestByteIdentity:
             "c8d36f709079452bed7f89e9cba84b1b47dd95e9929f7a5cce4d14d09b26e335",
     }
     BENCH = "66263ba7b5ce40b976277935b7f598a854c69d227b02301a0a3c24d7e7697545"
+    GEN = {
+        "2000,1000,3":
+            "0830cdbf01fcb6beac992e57faef8c78736c47a3e94d3b0eabfcf4f69fc285c7",
+        "800,80,40":
+            "f1d625bae7cc132dc7875cde9273993e0b19eed59ec429c26d983c766a42d3c2",
+    }
+    GEN_RANDOM = "7a1a795ed864774690d03163d6d258a7a6436a72b7492a464589367e790b7658"
 
     @staticmethod
     def sha256(text):
@@ -292,6 +299,20 @@ class TestByteIdentity:
         )
         assert code == 0
         assert self.sha256(out) == self.FIND[sizes, k, mode]
+
+    @pytest.mark.parametrize("sizes", sorted(GEN))
+    def test_gen_regularish(self, sizes, regularish):
+        text = regularish[sizes].read_text(encoding="utf-8")
+        assert self.sha256(text) == self.GEN[sizes]
+
+    def test_gen_random(self, capsys):
+        code, out, _ = run(
+            ["gen", "--kind", "random", "--seed", "1", "--param", "n1=300",
+             "--param", "n2=200", "--param", "p=0.05"],
+            capsys,
+        )
+        assert code == 0
+        assert self.sha256(out) == self.GEN_RANDOM
 
     def test_bench_json_with_oracle(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"k": 3, "instances": [

@@ -17,7 +17,14 @@ from moddeg import (
     exact_max_order,
     verify_residue,
 )
-from moddeg.generators import complete_bipartite, generate, matching, star
+from moddeg.generators import (
+    complete_bipartite,
+    generate,
+    matching,
+    random_bipartite,
+    star,
+)
+from moddeg.oracle import TOP_BITS
 
 
 def cycle6() -> BipartiteGraph:
@@ -57,9 +64,9 @@ FROZEN_RANDOM_OPTIMA = [
 
 # (explored, bound_prunes, infeasible_prunes, improvements) of the search
 FROZEN_COUNTERS = [
-    (cycle6, (1, 2), (17, 5, 3, 1)),
-    (lambda: complete_bipartite(3, 3), (0, 2), (31, 11, 3, 2)),
-    (lambda: complete_bipartite(3, 3), (1, 3), (42, 10, 12, 1)),
+    (cycle6, (1, 2), (5, 1, 0, 1)),
+    (lambda: complete_bipartite(3, 3), (0, 2), (7, 3, 1, 1)),
+    (lambda: complete_bipartite(3, 3), (1, 3), (8, 3, 3, 1)),
 ]
 
 
@@ -118,10 +125,19 @@ class TestExactMaxOrder:
         result = exact_max_order(g, ResidueSpec(1, 2), budget=10)
         assert result.timed_out and not result.exact
         assert result.explored >= 10
+        assert result.explored == result.budget
         # the partial answer is still a verified lower bound
         assert verify_residue(g, result.witness, ResidueSpec(1, 2)).ok
         full = exact_max_order(g, ResidueSpec(1, 2))
         assert result.order <= full.order
+
+    def test_proves_a_sixty_vertex_optimum(self):
+        g, _ = generate("regularish", seed=1, n1=40, n2=20, degree=3)
+        # the budget caps the work: a search that needs far more nodes
+        # than this one does (about 15k) fails here instead of running on
+        result = exact_max_order(g, ResidueSpec(1, 3), budget=200_000)
+        assert result.exact
+        assert result.order == 36
 
     def test_validation(self):
         g = matching(1)
@@ -168,6 +184,54 @@ class TestEnumerationCrossCheck:
     def test_enumeration_at_the_limit(self):
         g = matching(10)
         assert enumerate_max_order(g, ResidueSpec(1, 2)).order == 20
+
+
+def disjoint_union(parts) -> BipartiteGraph:
+    n1 = sum(g.n1 for g in parts)
+    n2 = sum(g.n2 for g in parts)
+    edges = []
+    off1 = off2 = 0
+    for g in parts:
+        edges += [(off1 + u, n1 + off2 + w - g.n1) for u, w in g.edges()]
+        off1 += g.n1
+        off2 += g.n2
+    return BipartiteGraph.from_edges(n1, n2, edges)
+
+
+class TestDisjointUnion:
+    """The optimum of a disjoint union is the sum of its parts' optima."""
+
+    @given(
+        st.lists(bipartite_graphs(max_side1=6, max_side2=6), min_size=2, max_size=3),
+        st.integers(2, 5),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sum_of_the_parts(self, parts, q, data):
+        spec = ResidueSpec(data.draw(st.integers(0, q - 1)), q)
+        expected = sum(enumerate_max_order(g, spec).order for g in parts)
+        union = disjoint_union(parts)
+        result = exact_max_order(union, spec)
+        assert result.exact and result.order == expected
+        assert verify_residue(union, result.witness, spec).ok
+
+    # the smaller side has more than TOP_BITS vertices, so its last ones are
+    # decided depth first
+    @pytest.mark.parametrize("sides", [[(6, 6)] * 3, [(6, 6), (6, 5), (6, 6)]])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sum_past_the_ranked_vertices(self, sides, seed):
+        rng = random.Random(seed)
+        parts = [
+            random_bipartite(n1, n2, rng.uniform(0.2, 0.6), rng) for n1, n2 in sides
+        ]
+        union = disjoint_union(parts)
+        assert min(union.n1, union.n2) > TOP_BITS
+        for q in (2, 3):
+            for r in range(q):
+                spec = ResidueSpec(r, q)
+                expected = sum(enumerate_max_order(g, spec).order for g in parts)
+                result = exact_max_order(union, spec)
+                assert result.exact and result.order == expected
 
 
 def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
