@@ -18,11 +18,11 @@ first member to its last and return ``int64`` arrays aligned with the pool's
 ids: each member's neighbour count in a subset and, from the second, its
 largest neighbour there.
 
-A labeled document is read by one NumPy scan over its bytes when it is plain
-ASCII digits, blanks, comments and "\\n" or "\\r\\n" line ends, which is
-every document ``moddeg gen`` writes; any other document, and any document
-with an error, is read line by line, and that reading names the first bad
-line.
+A labeled document is read by C-level ``bytes`` scans and one NumPy pass
+over the positions of its blank bytes when it is plain ASCII digits, blanks,
+comments and "\\n" or "\\r\\n" line ends, which is every document ``moddeg
+gen`` writes; any other document, and any document with an error, is read
+line by line, and that reading names the first bad line.
 """
 
 from __future__ import annotations
@@ -349,86 +349,84 @@ def verify_residue(
     return ResidueCheck(ok=True)
 
 
-# Byte classes of the tokenizer.  A carriage return counts as a blank; the
-# scan checks separately that each one is followed by "\n".
-_BLANK, _NEWLINE, _DIGIT, _OTHER, _CONTROL = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[:32] = _CONTROL
-_BYTE_CLASS[127:] = _CONTROL
-_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = _BLANK
-_BYTE_CLASS[ord("\n")] = _NEWLINE
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
 # 18 decimal digits always fit int64
 _MAX_DIGITS = 18
+_DIGITS_AND_BLANKS = b"0123456789 \t\r\n"
+_TEXT = bytes(range(32, 127)) + b"\t\r\n"  # every byte but the control bytes
 
 
 def _tokenize(text: str) -> np.ndarray | None:
     """The content lines of ``text`` as an ``(L, 2)`` int64 array, or None to
     leave the document to the per-line reading.
 
-    One scan over the bytes accepts an ASCII document whose lines end in
-    "\\n" or "\\r\\n" and hold no other control byte, in which every line is
-    blank, a comment (first non-blank byte ``#``), or two runs of at most 18
-    digits split by spaces or tabs.  Such a line reads as ``int()`` reads
-    it.  Anything else declines: a non-ASCII document, a lone "\\r", a sign,
-    an underscore, any other byte outside a comment, or 19 digits or more.
+    Accepts an ASCII document whose lines end in "\\n" or "\\r\\n" and hold no
+    other control byte, in which every line is blank, a comment (first
+    non-blank byte ``#``), or two runs of at most 18 digits split by spaces
+    or tabs, and at least one line is neither blank nor a comment.  Such a line
+    reads as ``int()`` reads it.  Anything else declines: a non-ASCII
+    document, a lone "\\r", a sign, an underscore, any other byte outside a
+    comment, or 19 digits or more.
+
+    ``bytes.translate`` finds any byte that is neither a digit nor a blank.
+    After the comment lines are cut, one NumPy pass over the positions of the
+    blank bytes checks that runs of blanks alternate line end, separator,
+    line end, with words of 1 to 18 digits between them.
     """
     if not text.isascii():
         return None
-    # the leading "\n" puts a line break before every line, the first too
-    data = np.frombuffer(b"\n" + text.encode("ascii") + b"\n", dtype=np.uint8)
-    words = _content_words(data)
-    if words is None:
+    # a line end before the first line and after the last one
+    raw = b"\n" + text.encode("ascii") + (b"" if text.endswith("\n") else b"\n")
+    if b"\r" in raw:
+        data = np.frombuffer(raw, dtype=np.uint8)
+        if (data[np.flatnonzero(data == ord("\r")) + 1] != ord("\n")).any():
+            return None  # a lone "\r"
+    other = raw.translate(None, _DIGITS_AND_BLANKS)
+    if other:
+        # only comments may hold other bytes, and none may be a control byte
+        if b"#" not in other or other.translate(None, _TEXT):
+            return None
+        raw = _cut_comment_lines(raw)
+        if raw is None or raw.translate(None, _DIGITS_AND_BLANKS):
+            return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    blank = np.flatnonzero(data <= ord(" "))
+    if data.size < 2**31:  # halves the memory every later pass reads
+        blank = blank.astype(np.int32)
+    line_end = data[blank] == ord("\n")
+    gap = np.diff(blank)  # one more than the length of the word in between
+    apart = gap > 1
+    if not apart.all():  # one run per stretch of adjacent blanks
+        word = np.flatnonzero(apart)  # the last blank before each word
+        line_end = np.logical_or.reduceat(line_end, np.concatenate(([0], word + 1)))
+        gap = gap[word]
+    # line end, separator, line end, ...: two words on every content line
+    alternate = line_end.size > 2 and line_end[::2].all() and not line_end[1::2].any()
+    if not alternate or gap.max() > _MAX_DIGITS + 1:
         return None
-    start, line = words
-    # words come in pairs, each pair alone on its line
-    if start.size % 2 or (line[::2] != line[1::2]).any():
-        return None
-    if (line[2::2] == line[1:-1:2]).any():
-        return None
-    # Horner's rule, one digit column at a time, while any word goes on
-    values = np.zeros(start.size, dtype=np.int64)
-    live = np.ones(start.size, dtype=bool)
-    for column in range(_MAX_DIGITS + 1):
-        digits = data.take(start + column, mode="clip") - np.uint8(ord("0"))
-        live &= digits < 10
-        if not live.any():
-            return values.reshape(-1, 2)
-        np.multiply(values, 10, out=values, where=live)
-        np.add(values, digits, out=values, where=live)
-    return None  # a word of 19 digits or more
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
-def _content_words(data: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The first byte and the line number of every word outside comments,
-    for ``data`` that starts and ends with "\\n"; None when ``data`` holds a
-    control byte other than a tab, a "\\n" or a "\\r" before "\\n", or when
-    a word outside the comments holds anything but digits."""
-    carriage = np.flatnonzero(data == ord("\r"))
-    if (data[carriage + 1] != ord("\n")).any():
+def _cut_comment_lines(raw: bytes) -> bytes | None:
+    """``raw`` without its comment lines, for ``raw`` that starts and ends
+    with "\\n"; None when a ``#`` follows a non-blank byte on its line."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(data == ord("\n"))
+    hashes = np.flatnonzero(data == ord("#"))
+    line = np.searchsorted(breaks, hashes)
+    first = np.concatenate(([True], line[1:] != line[:-1]))
+    hashes, line = hashes[first], line[first]
+    start, stop = breaks[line - 1] + 1, breaks[line] + 1
+    # the bytes before each line's first "#" must all be blank
+    width = hashes - start
+    prefix = np.repeat(hashes - width.cumsum(), width) + np.arange(width.sum())
+    if (data[prefix] > ord(" ")).any():
         return None
-    kind = _BYTE_CLASS[data]
-    if (kind == _CONTROL).any():
-        return None
-    other = np.flatnonzero(kind == _OTHER)
-    # events: every line break and every word's first byte, in byte order
-    solid = kind >= _DIGIT
-    marks = kind == _NEWLINE
-    marks[1:] |= solid[1:] > solid[:-1]
-    del kind, solid  # free the per-byte arrays before the index arrays come
-    events = np.flatnonzero(marks).astype(np.int32 if data.size < 2**30 else np.int64)
-    del marks
-    breaks = data[events] == ord("\n")
-    line = np.cumsum(breaks, dtype=events.dtype)  # an event's line: breaks up to it
-    # a comment line is one whose first word starts with "#"
-    lead = np.flatnonzero(breaks[:-1] > breaks[1:]) + 1
-    comment = np.zeros(int(line[-1]) + 1, dtype=bool)
-    comment[line[lead[data[events[lead]] == ord("#")]]] = True
-    if not comment[np.searchsorted(events[breaks], other)].all():
-        return None
-    words = ~breaks
-    words[words] = ~comment[line[words]]
-    return events[words], line[words]
+    # whole lines go, so no cut leaves a blank line; lengths alternate cut,
+    # kept, cut, ... from the first comment line to the last
+    lo, hi = start[0], stop[-1]
+    lengths = np.diff(np.stack((start, stop), axis=1).ravel())
+    keep = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
+    return b"".join([data[:lo], data[lo:hi][keep], data[hi:]])
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -505,7 +503,7 @@ def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
         raise GraphError(f"line {header_no}: sides must be positive, got {n1} {n2}")
     if max(n1, n2) > len(lines) - 1:
         # every vertex needs an edge, so refuse the header before from_edges
-        # allocates a mask per declared vertex
+        # sizes its degree and row arrays by the declared sides
         raise GraphError(
             f"line {header_no}: header declares sides of {n1} and {n2} vertices "
             f"but only {len(lines) - 1} edge lines follow"

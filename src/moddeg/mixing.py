@@ -272,7 +272,8 @@ def derandomize_subset(
     undecided = dict(zip(ids.tolist(), counts.tolist()))
     needed = {v: 1 % k for v in undecided}
     max_deg = max(undecided.values(), default=0)
-    table = residue_table(max_deg, k, exponent)
+    # rows of Python floats: indexing them is cheaper than indexing the array
+    table = residue_table(max_deg, k, exponent).tolist()
 
     # Scored neighbours of each member, so a decision only touches the
     # vertices it can influence.
@@ -288,10 +289,10 @@ def derandomize_subset(
         gain_drop = 0.0
         gain_keep = 0.0
         for v in affected:
-            u = undecided[v] - 1
+            row = table[undecided[v] - 1]
             need = needed[v]
-            gain_drop += table[u, need]
-            gain_keep += table[u, (need - 1) % k]
+            gain_drop += row[need]
+            gain_keep += row[(need - 1) % k]
         keep = gain_keep > gain_drop
         for v in affected:
             undecided[v] -= 1

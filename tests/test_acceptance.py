@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_graph, record_acceptance
+from enumeration import enumerate_connected_bipartite
 from moddeg import (
     BipartiteGraph,
     ResidueSpec,
@@ -35,7 +36,6 @@ from moddeg import (
 from moddeg.cli import main as cli_main
 from moddeg.generators import (
     complete_bipartite,
-    enumerate_connected_bipartite,
     random_bipartite,
     random_regularish,
 )

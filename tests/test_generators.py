@@ -7,11 +7,11 @@ import random
 import networkx as nx
 import pytest
 
+from enumeration import enumerate_connected_bipartite
 from moddeg.generators import (
     GENERATORS,
     check_params,
     complete_bipartite,
-    enumerate_connected_bipartite,
     generate,
     matching,
     random_bipartite,

@@ -553,11 +553,55 @@ class TestParseMessages:
         header, *edges = self.read_by_lines(text)
         assert len(edges) >= 20_000
 
+        self.refuse_the_line_reading(monkeypatch)
+        assert parse_graph(text) == BipartiteGraph.from_edges(*header, edges)
+
+    @staticmethod
+    def refuse_the_line_reading(monkeypatch):
         def refuse(text):
-            raise AssertionError("the scan declined a generated document")
+            raise AssertionError(f"the scan declined {text!r}")
 
         monkeypatch.setattr(graph_module, "_read_labeled_lines", refuse)
-        assert parse_graph(text) == BipartiteGraph.from_edges(*header, edges)
+
+    @pytest.mark.parametrize("text", [
+        "2 2\r\n0 2\r\n1 3\r\n",
+        "2\t2\n0\t2\n1\t3\n",
+        "2  2\n0 \t 2\n1\t\t3\n",
+        "  2 2\n\t0 2 \n1 3\t \n",
+        "\n2 2\n\n0 2\n \t\n\n1 3\n\n",
+        "# c\n2 2\n# 1 9\n0 2\n  #x\n\t# y\n1 3\n# end\n",
+        "2 2\n0 2\n1 3",
+    ], ids=["crlf", "tabs", "blank-runs", "indents-and-trailing-blanks", "blank-lines",
+            "comment-lines", "no-final-line-end"])
+    def test_each_spelling_takes_the_scan(self, text, monkeypatch):
+        self.refuse_the_line_reading(monkeypatch)
+        assert parse_graph(text) == self.TWO_EDGES
+
+    _blanks = st.text(" \t", max_size=3)
+    _content_line = st.tuples(
+        _blanks, st.text("0123456789", min_size=1, max_size=18),
+        st.text(" \t", min_size=1, max_size=3),
+        st.text("0123456789", min_size=1, max_size=18), _blanks,
+    ).map("".join)
+    _comment_line = st.tuples(
+        _blanks, st.text([chr(c) for c in range(32, 127)] + ["\t"], max_size=8),
+    ).map("#".join)
+    _any_line = st.one_of(_content_line, _comment_line, _blanks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_line, max_size=5), _content_line,
+           st.lists(_any_line, max_size=5),
+           st.lists(st.sampled_from(["\n", "\r\n"]), min_size=11, max_size=11),
+           st.booleans())
+    def test_scan_reads_every_document_of_its_grammar(self, before, line, after,
+                                                      ends, trailing):
+        lines = before + [line] + after
+        text = "".join(map("".join, zip(lines, ends)))
+        if not trailing:
+            text = text[: -len(ends[len(lines) - 1])]
+        tokens = graph_module._tokenize(text)
+        assert tokens is not None
+        assert tokens.tolist() == self.read_by_lines(text)
 
 
 class TestSerialize:
