@@ -11,6 +11,7 @@ reject a bad spec file before any instance runs.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 
@@ -148,6 +149,18 @@ _SEEDED = {"random", "regularish"}
 _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
+@functools.cache
+def _taken(kind: str) -> inspect.Signature:
+    """The parameters a spec may name for ``kind``: its generator's
+    signature less ``rng``.  Kept once built, as building it costs several
+    times what checking the values does; built on first use, so importing
+    the module builds none."""
+    signature = inspect.signature(GENERATORS[kind], eval_str=True)
+    return signature.replace(
+        parameters=[p for name, p in signature.parameters.items() if name != "rng"]
+    )
+
+
 def check_params(kind: str, params: dict) -> None:
     """Reject an unknown ``kind``, a parameter name its generator does not
     take, a missing required one, a value its annotation does not accept, or
@@ -159,10 +172,7 @@ def check_params(kind: str, params: dict) -> None:
     if not isinstance(kind, str) or kind not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ValueError(f"unknown generator {kind!r}; known kinds: {known}")
-    signature = inspect.signature(GENERATORS[kind], eval_str=True)
-    taken = signature.replace(
-        parameters=[p for name, p in signature.parameters.items() if name != "rng"]
-    )
+    taken = _taken(kind)
     try:
         taken.bind_partial(**params)
         taken.bind(**params)

@@ -16,11 +16,16 @@ components of the graph between A and C(A).
 So the search ranks every include/exclude assignment of the smaller side's
 ``TOP_BITS`` highest-degree vertices by a size bound in one vectorized pass,
 visits them best first, and stops at the first whose bound cannot beat the
-incumbent.  Any further smaller-side vertices are decided depth first under
-the same bound, and each fully decided smaller side has its larger side
-solved one component at a time.  Every loop runs on an explicit stack, so
-no graph can hit Python's recursion limit, and the search counts its prunes
-and incumbent improvements in :class:`OracleResult`.
+incumbent.  When those vertices are the whole eligible smaller side, each
+assignment A decides it, so the pass ranks A by ``|A| + |C(A)|`` less the
+most candidate neighbours that any vertex of A must lose to reach its
+residue, and leaves out every A in which a vertex has fewer than r
+candidate neighbours.  Otherwise the further smaller-side vertices are
+decided depth first under the ranking's live-vertex bound.  Each fully
+decided smaller side has its larger side solved one component at a time.
+Every loop runs on an explicit stack, so no graph can hit Python's
+recursion limit, and the search counts its prunes and incumbent
+improvements in :class:`OracleResult`.
 
 Both treat the empty set as a valid induced subgraph of order 0, so the
 result is 0 exactly when no non-empty witness exists.
@@ -28,7 +33,9 @@ result is 0 exactly when no non-empty witness exists.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +94,17 @@ def exact_max_order(
     depth first, include branch first, under the same bound.
 
     With the smaller side decided, its included set A fixes the candidates
-    C(A), and the larger side is chosen on each connected component of the
+    C(A), the larger-side vertices with degree r mod q into A.  A vertex x
+    of A with k candidate neighbours needs k >= r and must lose at least
+    ``(k - r) % q`` of them, so ``|A| + |C(A)| - most``, with ``most`` the
+    largest such loss, bounds every completion of A.  When no smaller-side
+    vertex is left undecided after the first ``TOP_BITS``, this is the
+    bound the assignments are ranked by, and an assignment with some
+    k < r is left out of the ranking and counted nowhere.  Otherwise each
+    depth-first leaf checks both, and counts a failure in
+    ``infeasible_prunes`` or ``bound_prunes``.
+
+    The larger side is then chosen on each connected component of the
     graph between A and C(A) by a depth-first search over the component's
     candidates, include branch first.  Its size bound is the chosen plus
     undecided candidates, less the most that any vertex of A must still
@@ -182,30 +199,96 @@ class _Search:
                     y for y in large if (mask & rows[y]).bit_count() % q == r
                 ])
 
-    def _ranked(self, h: int, pairs: list[tuple[int, int]]) -> list[int]:
+    def _ranked(self, h: int, pairs: list[tuple[int, int]]) -> Iterable[int]:
         """Every assignment of the ``h`` top vertices as the key
         ``bound << h | mask``, in descending order: by bound, then by mask.
         ``pairs`` holds each larger-side vertex's top neighbours as a mask
-        and its undecided neighbours."""
+        and its undecided neighbours.
+
+        When the top vertices are the whole eligible smaller side, an
+        assignment decides it, its live larger-side vertices are exactly its
+        candidates, and the bound is the one :meth:`_solve_larger` checks
+        at a depth-first leaf: ``|A| + |C(A)| - most``, with ``most`` the largest
+        ``(k - r) % q`` over the vertices of A, each with k candidate
+        neighbours.  An assignment in which some vertex of A has k < r is
+        left out."""
         r, q, size = self.r, self.q, 1 << h
         base = len(self.rest)
+        decided = not self.rest
         if size * len(pairs) <= _SMALL_PASS:
             keys = []
             for m in range(size):
-                bound = base + m.bit_count()
-                for row, u in pairs:
-                    if (r - (m & row).bit_count()) % q <= u:
-                        bound += 1
+                live = [row for row, u in pairs if (r - (m & row).bit_count()) % q <= u]
+                bound = base + m.bit_count() + len(live)
+                if decided:
+                    ks = [
+                        sum(row >> i & 1 for row in live) for i in range(h) if m >> i & 1
+                    ]
+                    if ks and min(ks) < r:
+                        continue
+                    bound -= max([(k - r) % q for k in ks], default=0)
                 keys.append(bound << h | m)
             keys.sort(reverse=True)
             return keys
         masks = np.arange(size, dtype=np.int64)
-        keys = (np.bitwise_count(masks).astype(np.int64) + base) << h | masks
+        # bits[i] is 1 on the assignments that include top vertex i
+        bits = np.zeros((h, size), np.uint8)
+        for i, bit in enumerate(bits):
+            bit.reshape(-1, 2, 1 << i)[:, 1] = 1
+        # every count below is at most len(pairs) + 1 = over, so the
+        # narrowest unsigned type that holds that keeps the arrays small
+        over = len(pairs) + 1
+        width = np.min_scalar_type(over)
+        live = np.zeros(size, width)
+        # per top vertex and assignment: the candidate neighbours
+        counts = np.zeros((h if decided else 0, size), width)
         for (row, u), count in Counter(pairs).items():
-            live = [count * ((r - d) % q <= u) << h for d in range(row.bit_count() + 1)]
-            keys += np.array(live)[np.bitwise_count(masks & row)]
+            ids = [i for i in range(h) if row >> i & 1]
+            # the numbers of included top neighbours at which a vertex is live
+            hits = [d for d in range(len(ids) + 1) if (r - d) % q <= u]
+            if not hits:
+                continue
+            if len(hits) == len(ids) + 1:  # when decided, only if ids is empty
+                live += count
+                continue
+            included = bits[ids[0]]
+            for i in ids[1:]:
+                included = included + bits[i]
+            hit = included == hits[0]
+            for d in hits[1:]:
+                hit |= included == d
+            hit = hit * width.type(count)
+            live += hit
+            if decided:
+                for i in ids:
+                    counts[i] += hit
+        bound = np.bitwise_count(masks).astype(np.int64) + base
+        bound += live
+        if decided:
+            # what a top vertex with k candidate neighbours must lose, or
+            # more than any such loss when k < r
+            lose = np.array(
+                [(k - r) % q if k >= r else over for k in range(over)], width
+            )
+            # np.take copies its indices as intp: a few at a time keeps
+            # that copy small
+            lost = np.empty_like(counts)
+            flat, out, step = counts.reshape(-1), lost.reshape(-1), 1 << 16
+            for at in range(0, flat.size, step):
+                block = slice(at, at + step)
+                np.take(lose, flat[block], out=out[block], mode="clip")
+            lost *= bits
+            most = lost.max(axis=0, initial=0)
+            bound -= most
+        keys = bound << h | masks
+        if decided:
+            keys = keys[most < over]
         keys.sort()
-        return keys[::-1].tolist()
+        # the search seldom visits more than a few of the keys, so they
+        # become Python ints a block at a time
+        keys = keys[::-1]
+        blocks = (keys[at : at + 1024].tolist() for at in range(0, keys.size, 1024))
+        return itertools.chain.from_iterable(blocks)
 
     def _descend(self, chosen: list[int], cur: list[int], und: list[int]) -> None:
         """Decide the rest of the smaller side depth first, then solve the
@@ -270,17 +353,19 @@ class _Search:
         for y in candidates:
             state[y] = 1
         # each included vertex x must lose at least (k - r) % q of its k
-        # candidate neighbours, and needs k >= r
-        most = 0
-        for x in chosen:
-            k = sum(map(state.__getitem__, nbrs[x]))
-            if k < r:
-                self.infeasible_prunes += 1
+        # candidate neighbours, and needs k >= r; with no smaller-side
+        # vertex past the top ones, the ranking pass has checked both
+        if self.rest:
+            most = 0
+            for x in chosen:
+                k = sum(map(state.__getitem__, nbrs[x]))
+                if k < r:
+                    self.infeasible_prunes += 1
+                    return
+                most = max(most, (k - r) % q)
+            if len(chosen) + len(candidates) - most <= self.best:
+                self.bound_prunes += 1
                 return
-            most = max(most, (k - r) % q)
-        if len(chosen) + len(candidates) - most <= self.best:
-            self.bound_prunes += 1
-            return
         for x in chosen:
             state[x] = 2
         components = []

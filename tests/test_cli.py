@@ -387,7 +387,7 @@ class TestOracle:
         main(["gen", "--kind", "complete", "--param", "a=6", "--param", "b=6",
               "--out", str(path)])
         code, out, _ = run(
-            ["oracle", "--input", str(path), "-q", "2", "--budget", "10"], capsys
+            ["oracle", "--input", str(path), "-q", "2", "--budget", "4"], capsys
         )
         assert code == 1
         assert "lower bound" in out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,12 @@ from conftest import bipartite_graphs
 from moddeg import (
     ENUMERATION_LIMIT,
     BipartiteGraph,
+    OracleResult,
     ResidueSpec,
     VertexSet,
     enumerate_max_order,
     exact_max_order,
+    oracle,
     verify_residue,
 )
 from moddeg.generators import (
@@ -62,11 +65,13 @@ FROZEN_RANDOM_OPTIMA = [
     17, 15, 15, 15, 16, 16, 16, 16, 15, 14, 14, 14, 14, 17, 16, 14, 15, 15, 14, 14,
 ]
 
-# (explored, bound_prunes, infeasible_prunes, improvements) of the search
+# (explored, bound_prunes, infeasible_prunes, improvements) of the search;
+# K(8,8) is ranked by the NumPy pass, the others in plain Python
 FROZEN_COUNTERS = [
     (cycle6, (1, 2), (5, 1, 0, 1)),
-    (lambda: complete_bipartite(3, 3), (0, 2), (7, 3, 1, 1)),
-    (lambda: complete_bipartite(3, 3), (1, 3), (8, 3, 3, 1)),
+    (lambda: complete_bipartite(3, 3), (0, 2), (5, 1, 1, 1)),
+    (lambda: complete_bipartite(3, 3), (1, 3), (5, 1, 2, 1)),
+    (lambda: complete_bipartite(8, 8), (1, 2), (10, 1, 1, 1)),
 ]
 
 
@@ -121,7 +126,7 @@ class TestExactMaxOrder:
         assert result.exact
 
     def test_budget_exhaustion_flags_timeout(self):
-        g = complete_bipartite(8, 8)
+        g = complete_bipartite(10, 10)  # the full search takes 12 nodes
         result = exact_max_order(g, ResidueSpec(1, 2), budget=10)
         assert result.timed_out and not result.exact
         assert result.explored >= 10
@@ -232,6 +237,42 @@ class TestDisjointUnion:
                 expected = sum(enumerate_max_order(g, spec).order for g in parts)
                 result = exact_max_order(union, spec)
                 assert result.exact and result.order == expected
+
+
+class TestRankingPasses:
+    """The plain-Python pass and the NumPy pass rank the assignments with
+    identical keys, so the search takes the same steps after either."""
+
+    @staticmethod
+    def search_both_ways(g: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
+        results = []
+        for small_pass in (10**9, 0):  # every pass in plain Python, then none
+            with mock.patch.object(oracle, "_SMALL_PASS", small_pass):
+                results.append(exact_max_order(g, spec))
+        plain, vectorized = results
+        assert plain.exact and verify_residue(g, plain.witness, spec).ok
+        assert plain == vectorized  # order, witness and all four counters
+        return plain
+
+    @given(bipartite_graphs(max_side1=8, max_side2=8))
+    @settings(max_examples=60, deadline=None)
+    def test_same_search_after_either_pass(self, g):
+        swapped = transpose(g)
+        for q in range(2, 6):
+            for r in range(q):
+                spec = ResidueSpec(r, q)
+                naive = enumerate_max_order(g, spec).order
+                assert self.search_both_ways(g, spec).order == naive
+                assert self.search_both_ways(swapped, spec).order == naive
+
+    def test_same_search_past_the_ranked_vertices(self):
+        rng = random.Random(0)
+        parts = [random_bipartite(6, 6, 0.4, rng) for _ in range(3)]
+        union = disjoint_union(parts)
+        assert min(union.n1, union.n2) > TOP_BITS
+        spec = ResidueSpec(1, 2)
+        expected = sum(enumerate_max_order(g, spec).order for g in parts)
+        assert self.search_both_ways(union, spec).order == expected
 
 
 def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
