@@ -33,9 +33,7 @@ result is 0 exactly when no non-empty witness exists.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +197,7 @@ class _Search:
                     y for y in large if (mask & rows[y]).bit_count() % q == r
                 ])
 
-    def _ranked(self, h: int, pairs: list[tuple[int, int]]) -> Iterable[int]:
+    def _ranked(self, h: int, pairs: list[tuple[int, int]]) -> list[int]:
         """Every assignment of the ``h`` top vertices as the key
         ``bound << h | mask``, in descending order: by bound, then by mask.
         ``pairs`` holds each larger-side vertex's top neighbours as a mask
@@ -270,25 +268,15 @@ class _Search:
             lose = np.array(
                 [(k - r) % q if k >= r else over for k in range(over)], width
             )
-            # np.take copies its indices as intp: a few at a time keeps
-            # that copy small
-            lost = np.empty_like(counts)
-            flat, out, step = counts.reshape(-1), lost.reshape(-1), 1 << 16
-            for at in range(0, flat.size, step):
-                block = slice(at, at + step)
-                np.take(lose, flat[block], out=out[block], mode="clip")
-            lost *= bits
-            most = lost.max(axis=0, initial=0)
+            most = np.zeros(size, width)
+            for i in range(h):
+                np.maximum(most, np.take(lose, counts[i]) * bits[i], out=most)
             bound -= most
         keys = bound << h | masks
         if decided:
             keys = keys[most < over]
         keys.sort()
-        # the search seldom visits more than a few of the keys, so they
-        # become Python ints a block at a time
-        keys = keys[::-1]
-        blocks = (keys[at : at + 1024].tolist() for at in range(0, keys.size, 1024))
-        return itertools.chain.from_iterable(blocks)
+        return keys[::-1].tolist()
 
     def _descend(self, chosen: list[int], cur: list[int], und: list[int]) -> None:
         """Decide the rest of the smaller side depth first, then solve the

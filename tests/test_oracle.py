@@ -27,7 +27,6 @@ from moddeg.generators import (
     random_bipartite,
     star,
 )
-from moddeg.oracle import TOP_BITS
 
 
 def cycle6() -> BipartiteGraph:
@@ -203,6 +202,19 @@ def disjoint_union(parts) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n1, n2, edges)
 
 
+def search_both_ways(g: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
+    """Run :func:`exact_max_order` with every ranking pass in plain Python,
+    then with every pass in NumPy, and check that both take the same steps."""
+    results = []
+    for small_pass in (10**9, 0):
+        with mock.patch.object(oracle, "_SMALL_PASS", small_pass):
+            results.append(exact_max_order(g, spec))
+    plain, vectorized = results
+    assert plain.exact and verify_residue(g, plain.witness, spec).ok
+    assert plain == vectorized  # order, witness and all four counters
+    return plain
+
+
 class TestDisjointUnion:
     """The optimum of a disjoint union is the sum of its parts' optima."""
 
@@ -220,8 +232,8 @@ class TestDisjointUnion:
         assert result.exact and result.order == expected
         assert verify_residue(union, result.witness, spec).ok
 
-    # the smaller side has more than TOP_BITS vertices, so its last ones are
-    # decided depth first
+    # at r <= 1 the smaller side has more than TOP_BITS eligible vertices,
+    # so its last ones are decided depth first
     @pytest.mark.parametrize("sides", [[(6, 6)] * 3, [(6, 6), (6, 5), (6, 6)]])
     @pytest.mark.parametrize("seed", range(3))
     def test_sum_past_the_ranked_vertices(self, sides, seed):
@@ -230,29 +242,17 @@ class TestDisjointUnion:
             random_bipartite(n1, n2, rng.uniform(0.2, 0.6), rng) for n1, n2 in sides
         ]
         union = disjoint_union(parts)
-        assert min(union.n1, union.n2) > TOP_BITS
+        assert oracle._Search(union, ResidueSpec(1, 2), 1).rest
         for q in (2, 3):
             for r in range(q):
                 spec = ResidueSpec(r, q)
                 expected = sum(enumerate_max_order(g, spec).order for g in parts)
-                result = exact_max_order(union, spec)
-                assert result.exact and result.order == expected
+                assert search_both_ways(union, spec).order == expected
 
 
 class TestRankingPasses:
     """The plain-Python pass and the NumPy pass rank the assignments with
     identical keys, so the search takes the same steps after either."""
-
-    @staticmethod
-    def search_both_ways(g: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
-        results = []
-        for small_pass in (10**9, 0):  # every pass in plain Python, then none
-            with mock.patch.object(oracle, "_SMALL_PASS", small_pass):
-                results.append(exact_max_order(g, spec))
-        plain, vectorized = results
-        assert plain.exact and verify_residue(g, plain.witness, spec).ok
-        assert plain == vectorized  # order, witness and all four counters
-        return plain
 
     @given(bipartite_graphs(max_side1=8, max_side2=8))
     @settings(max_examples=60, deadline=None)
@@ -262,17 +262,8 @@ class TestRankingPasses:
             for r in range(q):
                 spec = ResidueSpec(r, q)
                 naive = enumerate_max_order(g, spec).order
-                assert self.search_both_ways(g, spec).order == naive
-                assert self.search_both_ways(swapped, spec).order == naive
-
-    def test_same_search_past_the_ranked_vertices(self):
-        rng = random.Random(0)
-        parts = [random_bipartite(6, 6, 0.4, rng) for _ in range(3)]
-        union = disjoint_union(parts)
-        assert min(union.n1, union.n2) > TOP_BITS
-        spec = ResidueSpec(1, 2)
-        expected = sum(enumerate_max_order(g, spec).order for g in parts)
-        assert self.search_both_ways(union, spec).order == expected
+                assert search_both_ways(g, spec).order == naive
+                assert search_both_ways(swapped, spec).order == naive
 
 
 def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
