@@ -46,18 +46,19 @@ class ChainLevel:
 
     ``private_of[w]`` is the side-1 vertex whose only dominator-neighbour at
     this level is ``w``; its keys are the dominators, its values the privates,
-    and together they induce a matching.
+    and together they induce a matching.  ``n`` is the graph's vertex count.
     """
 
     private_of: Mapping[int, int]
+    n: int
 
     @cached_property
     def dominators(self) -> VertexSet:
-        return VertexSet.from_ids(self.private_of)
+        return VertexSet.from_ids(self.private_of, self.n)
 
     @cached_property
     def privates(self) -> VertexSet:
-        return VertexSet.from_ids(self.private_of.values())
+        return VertexSet.from_ids(self.private_of.values(), self.n)
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def minimal_dominating_set(
         v = int(ids[counts.argmin()])
         raise DominationError(f"target {v} has no neighbour among candidates")
     if not ids.size:
-        return ChainLevel({})
+        return ChainLevel({}, graph.n)
     # the targets grouped by their last candidate, ascending within a group:
     # one sort of the keys (last candidate, target), each below n**2
     owners, grouped = np.divmod(np.sort(last * graph.n + ids), graph.n)
@@ -140,14 +141,14 @@ def minimal_dominating_set(
 
     # a target with one kept neighbour is private to it; in ascending order
     # of the privates, the first private of a dominator is its smallest one
-    ids, counts, last = graph.last_neighbors(targets, VertexSet.from_ids(kept))
+    ids, counts, last = graph.last_neighbors(targets, VertexSet.from_ids(kept, graph.n))
     privates, owners = ids[counts == 1], last[counts == 1]
     _, first = np.unique(owners, return_index=True)
     first.sort()
     private_of = dict(zip(owners[first].tolist(), privates[first].tolist()))
     if len(private_of) != len(kept):
         raise ConstructionError("kept dominator without a private target")
-    return ChainLevel(private_of)
+    return ChainLevel(private_of, graph.n)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -167,7 +168,7 @@ def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
     for _ in range(k - 1):
         if not targets:
             # nothing left to dominate: every later level is empty
-            levels.extend([ChainLevel({})] * (k - 1 - len(levels)))
+            levels.extend([ChainLevel({}, graph.n)] * (k - 1 - len(levels)))
             break
         level = minimal_dominating_set(graph, targets, candidates)
         levels.append(level)
@@ -190,7 +191,7 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
             f"expected {chain.k - 1} levels, found {len(chain.levels)}"
         )
     previous = graph.side2
-    claimed = VertexSet()
+    claimed = VertexSet.from_ids([], graph.n)
     for idx, level in enumerate(chain.levels, start=1):
         doms, privs = level.dominators, level.privates
         if not doms <= previous:
@@ -245,9 +246,9 @@ def matching_candidate(chain: DominatingChain) -> VertexSet:
 def high_degree_targets(graph: BipartiteGraph, chain: DominatingChain) -> VertexSet:
     """Remainder vertices with at least k**3 neighbours in the deepest
     dominator level (:func:`mixing.high_degree_cut`)."""
-    ids, degrees = graph.degrees_into(chain.remainder, chain.deepest)
+    _, degrees = graph.degrees_into(chain.remainder, chain.deepest)
     # NumPy compares int64 with a Python int beyond int64 exactly
-    return VertexSet.from_ids(ids[degrees >= mixing.high_degree_cut(chain.k)])
+    return chain.remainder.select(degrees >= mixing.high_degree_cut(chain.k))
 
 
 def sample_subset(
@@ -255,24 +256,59 @@ def sample_subset(
 ) -> VertexSet:
     """Keep each member independently with probability 2**-exponent.
 
-    Exponent 0 keeps everything without consuming randomness.  Each kept/
-    dropped decision spends exactly ``exponent`` fair coin flips (one
-    ``getrandbits`` call), so draws are reproducible bit for bit.
+    Exponent 0 keeps everything without consuming randomness.  Otherwise
+    member w, the i-th in ascending order, is kept when
+    ``rng.getrandbits(exponent)``, the i-th such call, returns 0, so draws
+    are reproducible bit for bit.  Up to exponent 32 each call reads the top
+    bits of one 32-bit word of the generator, so one ``getrandbits(32 * m)``
+    call draws all m members at once, from the same stream.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     if exponent == 0:
         return members
-    return VertexSet.from_ids(w for w in members if rng.getrandbits(exponent) == 0)
+    m = len(members)
+    if exponent <= 32:
+        # word i is bytes 4i..4i+3 in little-endian order
+        raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        keep = np.frombuffer(raw, dtype="<u4") >> (32 - exponent) == 0
+    else:
+        keep = np.array([rng.getrandbits(exponent) == 0 for _ in range(m)], dtype=bool)
+    return members.select(keep)
 
 
 def unit_residue_targets(
     graph: BipartiteGraph, pool: VertexSet, chosen: VertexSet, k: int
 ) -> VertexSet:
     """Members of ``pool`` whose neighbour count in ``chosen`` is 1 mod k."""
-    ids, degrees = graph.degrees_into(pool, chosen)
+    _, degrees = graph.degrees_into(pool, chosen)
     # every degree is below n, so a k beyond int64 acts as n does
-    return VertexSet.from_ids(ids[degrees % min(k, graph.n) == 1])
+    return pool.select(degrees % min(k, graph.n) == 1)
+
+
+def best_draw(
+    graph: BipartiteGraph,
+    chain: DominatingChain,
+    scored: VertexSet,
+    draws: list[VertexSet],
+) -> VertexSet:
+    """The first of ``draws`` (subsets of the deepest level) whose unit
+    targets, the remainder vertices with a neighbour count in the draw of
+    1 mod k, hold the most members of ``scored``; ties go to the most unit
+    targets.
+
+    One pass over the remainder's rows counts every draw
+    (:meth:`BipartiteGraph.degrees_into_each`).
+    """
+    ids, each = graph.degrees_into_each(chain.remainder, chain.deepest, draws)
+    is_scored = scored.contains_each(ids)
+    # whether a degree, always below n, is 1 mod k
+    is_unit = np.arange(graph.n) % min(chain.k, graph.n) == 1
+    keys = []
+    for degrees in each:
+        units = is_unit[degrees]
+        keys.append((np.count_nonzero(units & is_scored), np.count_nonzero(units)))
+    return draws[keys.index(max(keys))]
 
 
 def largest_dyadic_bucket(
@@ -300,7 +336,7 @@ def largest_dyadic_bucket(
     exponents = np.frexp(degrees)[1] - 1
     # argmax takes the smallest exponent among the fullest buckets
     exponent = int(np.bincount(exponents).argmax())
-    bucket = VertexSet.from_ids(ids[exponents == exponent])
+    bucket = rest.select(exponents == exponent)
     slots = threshold.bit_length()  # floor(log2(threshold)) + 1
     if len(bucket) * slots < len(rest):
         raise ConstructionError("dyadic bucket fell below its pigeonhole share")
@@ -329,7 +365,7 @@ def fix_degrees(
     for u, d in zip(ids.tolist(), degrees.tolist()):
         missing = (1 - d) % k
         patch.extend(level.private_of[u] for level in chain.levels[:missing])
-    return VertexSet.from_ids(patch)
+    return VertexSet.from_ids(patch, graph.n)
 
 
 @dataclass(frozen=True)
@@ -475,15 +511,8 @@ def find_mod_one_subgraph(
         elif mode == "derandomized":
             chosen = mixing.derandomize_subset(graph, deepest, scored, k, exponent)
         else:
-            chosen = None
-            best_key = None
-            for _ in range(retries):
-                draw = sample_subset(deepest, exponent, rng)
-                units = unit_residue_targets(graph, chain.remainder, draw, k)
-                key = (len(units & scored), len(units))
-                if best_key is None or key > best_key:
-                    best_key = key
-                    chosen = draw
+            draws = [sample_subset(deepest, exponent, rng) for _ in range(retries)]
+            chosen = best_draw(graph, chain, scored, draws)
         units = unit_residue_targets(graph, chain.remainder, chosen, k)
         patch = fix_degrees(graph, chain, chosen, units)
         return Route(

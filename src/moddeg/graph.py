@@ -5,18 +5,20 @@ Vertex ids are dense 0-based integers: ids ``0..n1-1`` form side 1 and ids
 NumPy ``int64`` arrays in compressed sparse row form: the neighbours of ``v``
 are ``indices[indptr[v]:indptr[v+1]]``, in ascending order, so memory is
 O(n + E) and a degree count into a vertex set is one vectorized O(E) pass.
-A :class:`VertexSet` is one Python int used as a bitmask, so set algebra,
-hashing and equality stay single int operations; converting a set to and
-from sorted ids goes through NumPy's bit packing instead of a walk over the
-bits.
+A :class:`VertexSet` is a read-only NumPy bool mask of length n, the
+graph's vertex count, so a degree query reads a subset's membership of
+each CSR entry with one gather, and a pool's ids are the mask's nonzero
+positions.  Every set carries its n: sets over different n do not mix,
+and ids outside [0, n) are refused when a set is built.
 
 This module alone knows both formats.  The rest of the package works through
 :class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (one row
-as a list), and :meth:`BipartiteGraph.degrees_into` and
-:meth:`BipartiteGraph.last_neighbors`, which read only the rows from a pool's
-first member to its last and return ``int64`` arrays aligned with the pool's
-ids: each member's neighbour count in a subset and, from the second, its
-largest neighbour there.
+as a list), and :meth:`BipartiteGraph.degrees_into`,
+:meth:`BipartiteGraph.last_neighbors` and
+:meth:`BipartiteGraph.degrees_into_each`, which read only the rows from a
+pool's first member to its last and return ``int64`` arrays aligned with
+the pool's ids: each member's neighbour count in a subset (or in each of
+several subsets) and, from the second, its largest neighbour there.
 
 A labeled document is read by C-level ``bytes`` scans and one NumPy pass
 over the positions of its blank bytes when it is plain ASCII digits, blanks,
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -55,80 +58,105 @@ class DuplicateEdgeWarning(UserWarning):
     """An edge appeared more than once in the input and was deduplicated."""
 
 
-def _bits(mask: int, count: int = 0) -> np.ndarray:
-    """Bits of ``mask`` from bit 0 up as a 0/1 ``uint8`` array, padded with
-    zeros or cut to ``count`` entries when ``count`` is positive."""
-    size = max((mask.bit_length() + 7) >> 3, (count + 7) >> 3)
-    raw = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=count or None, bitorder="little")
-
-
 class VertexSet:
-    """A set of vertex ids backed by a single int bitmask.
+    """A set of vertex ids of one n-vertex graph, held as a read-only NumPy
+    bool mask of length n.
 
-    Treated as immutable: every operation returns a new set.
+    Treated as immutable: every operation returns a new set.  Sets over
+    different n do not mix: set algebra between them raises ``ValueError``.
     """
 
     __slots__ = ("mask",)
 
-    def __init__(self, mask: int = 0):
-        if mask < 0:
-            raise ValueError("bitmask must be non-negative")
+    def __init__(self, mask: np.ndarray):
+        """The set of the ``True`` entries of the 1-D bool array ``mask``;
+        the set keeps ``mask`` and makes it read-only."""
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.ndim != 1:
+            raise TypeError("a vertex set's mask must be a 1-D bool array")
+        mask.setflags(write=False)
         self.mask = mask
 
     @classmethod
-    def from_ids(cls, ids: Iterable[int] | np.ndarray) -> "VertexSet":
-        """The set of ``ids``, given as any iterable or an integer array."""
-        if not isinstance(ids, np.ndarray):
-            ids = np.fromiter(ids, dtype=np.int64)
-        if not ids.size:
-            return cls()
-        # bincount rejects negative ids; its nonzero entries are the members
-        packed = np.packbits(np.bincount(ids) != 0, bitorder="little")
-        return cls(int.from_bytes(packed, "little"))
+    def from_ids(cls, ids: Iterable[int] | np.ndarray, n: int) -> "VertexSet":
+        """The set of ``ids`` among n vertices, given as any iterable or an
+        integer array; raises ``ValueError`` naming the first id outside
+        [0, n)."""
+        if isinstance(ids, np.ndarray):
+            ids = ids.astype(np.int64, copy=False)
+            low, high = (ids.min(), ids.max()) if ids.size else (0, -1)
+        else:
+            ids = list(ids)
+            low, high = (min(ids), max(ids)) if ids else (0, -1)
+        if low < 0 or high >= n:
+            bad = next(v for v in ids if not 0 <= v < n)
+            raise ValueError(f"vertex id {bad} outside [0, {n})")
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return cls(mask)
+
+    def _other(self, other: "VertexSet") -> np.ndarray:
+        if other.mask.size != self.mask.size:
+            raise ValueError(
+                f"vertex sets over {self.mask.size} and {other.mask.size} vertices"
+            )
+        return other.mask
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return int(np.count_nonzero(self.mask))
 
     def __bool__(self) -> bool:
-        return self.mask != 0
+        return bool(np.count_nonzero(self.mask))
 
     def __contains__(self, v: int) -> bool:
-        return (self.mask >> v) & 1 == 1
+        return 0 <= v < self.mask.size and bool(self.mask[v])
 
     def __iter__(self) -> Iterator[int]:
         """Yield member ids in ascending order."""
         return iter(self.ids())
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask | other.mask)
+        return VertexSet(self.mask | self._other(other))
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & other.mask)
+        return VertexSet(self.mask & self._other(other))
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & ~other.mask)
+        return VertexSet(self.mask & ~self._other(other))
 
     def __le__(self, other: "VertexSet") -> bool:
-        return self.mask & ~other.mask == 0
+        return not np.count_nonzero(self.mask & ~self._other(other))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VertexSet) and self.mask == other.mask
+        return (
+            isinstance(other, VertexSet)
+            and self.mask.size == other.mask.size
+            and np.array_equal(self.mask, other.mask)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.mask)
+        return hash(self.mask.tobytes())
 
     def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.mask & other.mask == 0
+        return not np.count_nonzero(self.mask & self._other(other))
+
+    def select(self, keep: np.ndarray) -> "VertexSet":
+        """The members at the positions, in ascending id order, where the
+        bool array ``keep`` (one entry per member) is true."""
+        mask = np.zeros(self.mask.size, dtype=bool)
+        mask[self.mask.nonzero()[0][keep]] = True
+        return VertexSet(mask)
+
+    def contains_each(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each of ``ids``, an integer array of ids in [0, n), is a
+        member, as a bool array aligned with ``ids``."""
+        return self.mask[ids]
 
     def ids(self) -> list[int]:
         """Member ids in ascending order."""
-        if not self.mask:
-            return []
-        return _bits(self.mask).nonzero()[0].tolist()
+        return self.mask.nonzero()[0].tolist()
 
     def __repr__(self) -> str:
-        return f"VertexSet({self.ids()!r})"
+        return f"VertexSet({self.ids()!r}, n={self.mask.size})"
 
 
 @dataclass(frozen=True)
@@ -258,17 +286,17 @@ class BipartiteGraph:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    @property
+    @cached_property
     def side1(self) -> VertexSet:
-        return VertexSet((1 << self.n1) - 1)
+        return VertexSet(np.arange(self.n) < self.n1)
 
-    @property
+    @cached_property
     def side2(self) -> VertexSet:
-        return VertexSet(((1 << self.n2) - 1) << self.n1)
+        return VertexSet(np.arange(self.n) >= self.n1)
 
-    @property
+    @cached_property
     def vertices(self) -> VertexSet:
-        return VertexSet((1 << self.n) - 1)
+        return VertexSet(np.ones(self.n, dtype=bool))
 
     def neighbor_ids(self, v: int) -> list[int]:
         """Neighbours of ``v`` in ascending order."""
@@ -292,23 +320,58 @@ class BipartiteGraph:
         1, the largest neighbour is the only one."""
         ids, rows, starts, entries, hits = self._pool_rows(pool, subset)
         counts = np.add.reduceat(hits, starts, dtype=np.int64)[rows]
-        members = np.where(hits.view(bool), entries, -1)
+        members = np.where(hits, entries, -1)
         return ids, counts, np.maximum.reduceat(members, starts)[rows]
+
+    def degrees_into_each(
+        self, pool: VertexSet, within: VertexSet, subsets: list[VertexSet]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The members of ``pool`` in ascending order and, for each of
+        ``subsets``, each member's neighbour count inside both ``within``
+        and that subset, as aligned ``int64`` arrays.
+
+        The pool's rows are read once and cut to their entries in
+        ``within``; each subset then costs one gather over those entries and
+        one count per member, so many subsets of a small ``within`` cost
+        little more than one."""
+        ids, rows, starts, entries, hits = self._pool_rows(pool, within)
+        # each entry's member, the position of its row's vertex in ids, or
+        # -1 for a row between members
+        member = np.full(len(starts), -1, dtype=np.int64)
+        member[rows] = np.arange(len(ids))
+        member = np.repeat(member, np.diff(starts, append=len(entries)))
+        keep = hits & (member >= 0)
+        cut, member = entries[keep], member[keep]
+        each = [
+            np.bincount(member[self._own(subset)[cut]], minlength=len(ids))
+            for subset in subsets
+        ]
+        return ids, each
+
+    def _own(self, vertex_set: VertexSet) -> np.ndarray:
+        """The mask of ``vertex_set``, which must be drawn from this graph's
+        n vertices."""
+        if vertex_set.mask.size != self.n:
+            raise ValueError(
+                f"vertex set over {vertex_set.mask.size} vertices used with "
+                f"a graph of {self.n}"
+            )
+        return vertex_set.mask
 
     def _pool_rows(
         self, pool: VertexSet, subset: VertexSet
     ) -> tuple[np.ndarray, ...]:
         """The members of ``pool`` in ascending order, and the CSR rows from
         the first member to the last: each member's row among them, each
-        row's start, the entries, and each entry's membership in ``subset``
-        as a 0/1 ``uint8``."""
-        ids = _bits(pool.mask).nonzero()[0].astype(np.int64, copy=False)
+        row's start, the entries, and each entry's membership in
+        ``subset``."""
+        ids = self._own(pool).nonzero()[0]
         first, stop = (ids[0], ids[-1] + 1) if ids.size else (0, 0)
         indptr, indices = self.adj
         # every row is non-empty (no isolated vertices), as reduceat needs
         bounds = indptr[first:stop + 1]
         entries = indices[bounds[0]:bounds[-1]]
-        hits = _bits(subset.mask, self.n)[entries]
+        hits = self._own(subset)[entries]
         return ids, ids - first, bounds[:-1] - bounds[0], entries, hits
 
     def edge_count(self) -> int:

@@ -88,8 +88,11 @@ def residue_table(n_max: int, k: int, exponent: int) -> np.ndarray:
     table = np.zeros((n_max + 1, k))
     table[0, 0] = 1.0
     for i in range(n_max):
-        row = table[i]
-        table[i + 1] = (1.0 - q) * row + q * np.roll(row, 1)
+        row, out = table[i], table[i + 1]
+        # out = (1 - q) * row + q * (row shifted up one residue, cyclically)
+        np.multiply(row, 1.0 - q, out=out)
+        out[1:] += q * row[:-1]
+        out[0] += q * row[-1]
     return table
 
 
@@ -300,4 +303,4 @@ def derandomize_subset(
                 needed[v] = (needed[v] - 1) % k
         if keep:
             kept.append(w)
-    return VertexSet.from_ids(kept)
+    return VertexSet.from_ids(kept, graph.n)

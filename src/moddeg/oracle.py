@@ -123,7 +123,7 @@ def exact_max_order(
         search.run()
     except _OutOfBudget:
         timed_out = True
-    witness = VertexSet(search.best_mask)
+    witness = _witness(graph, search.best_mask)
     if not verify_residue(graph, witness, spec):
         raise AssertionError("search returned an invalid witness")
     return OracleResult(
@@ -481,6 +481,11 @@ class _Search:
             self.infeasible_prunes += infeasible_prunes
 
 
+def _witness(graph: BipartiteGraph, mask: int) -> VertexSet:
+    """The vertex set of the search's int bitmask ``mask``."""
+    return VertexSet.from_ids([v for v in range(graph.n) if mask >> v & 1], graph.n)
+
+
 def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
     """Check every one of the 2**n vertex subsets; vectorized with numpy.
 
@@ -503,7 +508,7 @@ def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResul
     sizes = np.bitwise_count(masks)
     sizes[~valid] = 0
     pick = int(np.argmax(sizes))
-    witness = VertexSet(int(masks[pick]))
+    witness = _witness(graph, int(masks[pick]))
     if not verify_residue(graph, witness, spec):
         raise AssertionError("enumeration returned an invalid witness")
     return OracleResult(

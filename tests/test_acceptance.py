@@ -268,7 +268,7 @@ def test_criterion_07_single_hit_probability():
     rows = []
     for p in range(0, 7):
         for m in sorted({2**p, 2 ** (p + 1) - 1}):
-            members = VertexSet.from_ids(range(m))
+            members = VertexSet.from_ids(range(m), m)
             hits = sum(
                 1 for _ in range(trials) if len(sample_subset(members, p, rng)) == 1
             )

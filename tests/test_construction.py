@@ -30,12 +30,17 @@ from moddeg import (
     unit_residue_targets,
     verify_residue,
 )
-from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE
+from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE, best_draw
 from moddeg.generators import complete_bipartite, matching, random_regularish, star
 
 
+def vset(g: BipartiteGraph, ids=()) -> VertexSet:
+    """The set of ``ids`` among the vertices of ``g``."""
+    return VertexSet.from_ids(ids, g.n)
+
+
 def nbrs(g: BipartiteGraph, v: int) -> VertexSet:
-    return VertexSet.from_ids(g.neighbor_ids(v))
+    return vset(g, g.neighbor_ids(v))
 
 
 def path4() -> BipartiteGraph:
@@ -112,25 +117,25 @@ class TestMinimalDominatingSet:
         minimal_sets = []
         for size in range(1, 4):
             for combo in itertools.combinations(g.side2, size):
-                mask = VertexSet.from_ids(combo)
+                mask = vset(g, combo)
                 if any(not nbrs(g, v) & mask for v in g.side1):
                     continue
                 proper = any(
-                    all(nbrs(g, v) & (mask - VertexSet.from_ids([w])) for v in g.side1)
+                    all(nbrs(g, v) & (mask - vset(g, [w])) for v in g.side1)
                     for w in combo
                 )
                 if not proper:
                     minimal_sets.append(mask)
         # dual route: every minimal dominating set of K33 is a singleton
         assert minimal_sets == [
-            VertexSet.from_ids([3]), VertexSet.from_ids([4]), VertexSet.from_ids([5])
+            vset(g, [3]), vset(g, [4]), vset(g, [5])
         ]
         assert doms in minimal_sets
 
     def test_undominatable_target_raises(self):
         g = path4()
         with pytest.raises(DominationError):
-            minimal_dominating_set(g, g.side1, VertexSet.from_ids([3]))
+            minimal_dominating_set(g, g.side1, vset(g, [3]))
 
     @given(bipartite_graphs(max_side1=8, max_side2=8))
     @settings(max_examples=80)
@@ -145,23 +150,21 @@ class TestMinimalDominatingSet:
         for w, v in private_of.items():
             # sole dominator neighbour, and the smallest such target
             candidates = [
-                t for t in g.side1 if nbrs(g, t) & doms == VertexSet.from_ids([w])
+                t for t in g.side1 if nbrs(g, t) & doms == vset(g, [w])
             ]
             assert v == candidates[0]
             assert v not in seen
             seen.add(v)
         for w in doms:
-            shrunk = doms - VertexSet.from_ids([w])
+            shrunk = doms - vset(g, [w])
             assert any(not nbrs(g, v) & shrunk for v in g.side1)
 
 
     @given(bipartite_graphs(max_side1=9, max_side2=9), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_greedy(self, g, data):
-        targets = VertexSet.from_ids(data.draw(st.sets(st.sampled_from(g.side1.ids()))))
-        candidates = VertexSet.from_ids(
-            data.draw(st.sets(st.sampled_from(g.side2.ids())))
-        )
+        targets = vset(g, data.draw(st.sets(st.sampled_from(g.side1.ids()))))
+        candidates = vset(g, data.draw(st.sets(st.sampled_from(g.side2.ids()))))
         try:
             want = reference_dominating_set(g, targets, candidates)
         except DominationError as exc:
@@ -193,23 +196,23 @@ class TestMinimalDominatingSet:
 
     def test_no_targets_give_an_empty_level(self):
         g = random_regularish(30, 12, 3, random.Random(4))
-        for candidates in (g.side2, VertexSet(), VertexSet.from_ids([30, 35])):
-            level = minimal_dominating_set(g, VertexSet(), candidates)
+        for candidates in (g.side2, vset(g), vset(g, [30, 35])):
+            level = minimal_dominating_set(g, vset(g), candidates)
             assert level.private_of == {}
-            assert level.dominators == VertexSet()
+            assert level.dominators == vset(g)
 
     def test_candidate_next_to_no_target_is_never_kept(self):
         # 3 and 4 both cover target 0; 5 touches only the non-target 1
         g = BipartiteGraph.from_edges(
             3, 4, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 6)]
         )
-        level = minimal_dominating_set(g, VertexSet.from_ids([0]), g.side2)
+        level = minimal_dominating_set(g, vset(g, [0]), g.side2)
         assert level.private_of == {4: 0}
-        for targets in (VertexSet.from_ids([0]), VertexSet.from_ids([0, 2])):
+        for targets in (vset(g, [0]), vset(g, [0, 2])):
             want = reference_dominating_set(g, targets, g.side2)
             level = minimal_dominating_set(g, targets, g.side2)
             assert list(level.private_of.items()) == list(want.items())
-            assert level.dominators.isdisjoint(VertexSet.from_ids([5]))
+            assert level.dominators.isdisjoint(vset(g, [5]))
 
     @staticmethod
     def check_chain_levels(g, k):
@@ -222,9 +225,10 @@ class TestMinimalDominatingSet:
 
 class TestBuildChain:
     def test_k2_single_level(self):
-        chain = build_chain(matching(2), 2)
+        g = matching(2)
+        chain = build_chain(g, 2)
         assert len(chain.levels) == 1
-        assert chain.remainder == VertexSet()
+        assert chain.remainder == vset(g)
 
     def test_complete_3x3_modulus_3(self):
         chain = build_chain(complete_bipartite(3, 3), 3)
@@ -235,23 +239,24 @@ class TestBuildChain:
         assert chain.dominator_sizes() == [1, 1]
 
     def test_matching_exhausts_targets_early(self):
-        chain = build_chain(matching(4), 3)
+        g = matching(4)
+        chain = build_chain(g, 3)
         assert len(chain.levels[0].dominators) == 4
         assert len(chain.levels[1].dominators) == 0
-        assert chain.remainder == VertexSet()
-        assert chain.deepest == VertexSet()
+        assert chain.remainder == vset(g)
+        assert chain.deepest == vset(g)
 
     def test_nesting_and_cardinalities_directly(self):
         g = complete_bipartite(4, 4)
         chain = build_chain(g, 4)
-        claimed = VertexSet()
+        claimed = vset(g)
         previous = g.side2
         for level in chain.levels:
             assert level.dominators <= previous
             assert len(level.privates) == len(level.dominators)
             assert level.privates.isdisjoint(claimed)
             for w, v in level.private_of.items():
-                assert nbrs(g, v) & level.dominators == VertexSet.from_ids([w])
+                assert nbrs(g, v) & level.dominators == vset(g, [w])
             claimed = claimed | level.privates
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
@@ -289,8 +294,8 @@ class TestCheckChain:
 
     def test_flags_redundant_dominator(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={4: 0, 5: 1})
-        bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.from_ids([2]))
+        level = ChainLevel(private_of={4: 0, 5: 1}, n=g.n)
+        bad = DominatingChain(k=2, levels=(level,), remainder=vset(g, [2]))
         problems = check_chain(g, bad)
         # in K33 no vertex is private to anyone once two dominators stay
         assert any("not private" in p for p in problems)
@@ -299,27 +304,27 @@ class TestCheckChain:
     def test_flags_tampered_remainder(self):
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
-        bad = DominatingChain(k=3, levels=chain.levels, remainder=VertexSet())
+        bad = DominatingChain(k=3, levels=chain.levels, remainder=vset(g))
         assert any("remainder" in p for p in check_chain(g, bad))
 
     def test_flags_overlapping_privates(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={5: 0})
+        level = ChainLevel(private_of={5: 0}, n=g.n)
         bad = DominatingChain(
-            k=3, levels=(level, level), remainder=g.side1 - VertexSet.from_ids([0])
+            k=3, levels=(level, level), remainder=g.side1 - vset(g, [0])
         )
         assert any("overlap" in p for p in check_chain(g, bad))
 
     def test_flags_private_shared_by_two_dominators(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={4: 0, 5: 0})
+        level = ChainLevel(private_of={4: 0, 5: 0}, n=g.n)
         bad = DominatingChain(k=2, levels=(level,), remainder=g.side1 - level.privates)
         assert any("private count differs" in p for p in check_chain(g, bad))
 
     def test_flags_broken_domination(self):
         g = matching(3)
-        level = ChainLevel(private_of={3: 0})
-        bad = DominatingChain(k=2, levels=(level,), remainder=VertexSet.from_ids([1, 2]))
+        level = ChainLevel(private_of={3: 0}, n=g.n)
+        bad = DominatingChain(k=2, levels=(level,), remainder=vset(g, [1, 2]))
         assert any("undominated" in p for p in check_chain(g, bad))
 
 
@@ -351,13 +356,13 @@ class TestRouteIngredients:
         g = matching(2)
         chain = build_chain(g, 2)
         with pytest.raises(ValueError):
-            largest_dyadic_bucket(g, chain, VertexSet())
+            largest_dyadic_bucket(g, chain, vset(g))
 
     def test_dyadic_bucket_names_the_unclamped_bound(self):
         # vertex 1 has no neighbour in the deepest level {2}
         g = matching(2)
         chain = DominatingChain(
-            k=3, levels=(ChainLevel({2: 0}),), remainder=VertexSet.from_ids([1])
+            k=3, levels=(ChainLevel({2: 0}, g.n),), remainder=vset(g, [1])
         )
         with pytest.raises(ConstructionError) as caught:
             largest_dyadic_bucket(g, chain, chain.remainder)
@@ -370,8 +375,8 @@ class TestRouteIngredients:
         g = staircase_graph()
         chain = DominatingChain(
             k=k,
-            levels=(ChainLevel({11 + i: i for i in range(7)}),),
-            remainder=VertexSet.from_ids([7, 8, 9, 10]),
+            levels=(ChainLevel({11 + i: i for i in range(7)}, g.n),),
+            remainder=vset(g, [7, 8, 9, 10]),
         )
         ids, degrees = g.degrees_into(chain.remainder, chain.deepest)
         pairs = list(zip(ids.tolist(), degrees.tolist()))
@@ -385,9 +390,9 @@ class TestRouteIngredients:
         exponent = min(e for e, b in buckets.items() if len(b) == fullest)
 
         assert set(high_degree_targets(g, chain)) == heavy
-        rest = chain.remainder - VertexSet.from_ids(heavy)
+        rest = chain.remainder - vset(g, heavy)
         assert largest_dyadic_bucket(g, chain, rest) == (
-            exponent, VertexSet.from_ids(buckets[exponent])
+            exponent, vset(g, buckets[exponent])
         )
 
     @given(bipartite_graphs(max_side1=8, max_side2=8), st.integers(2, 4))
@@ -407,25 +412,42 @@ class TestRouteIngredients:
             assert d.bit_length() - 1 == exponent
 
     def test_sample_exponent_zero_is_identity(self):
-        members = VertexSet.from_ids([2, 5, 9])
+        members = VertexSet.from_ids([2, 5, 9], 10)
         rng = random.Random(7)
         state = rng.getstate()
         assert sample_subset(members, 0, rng) == members
         assert rng.getstate() == state  # no randomness consumed
 
     def test_sample_determinism_and_bounds(self):
-        members = VertexSet.from_ids(range(30))
+        members = VertexSet.from_ids(range(30), 30)
         a = sample_subset(members, 2, random.Random(11))
         b = sample_subset(members, 2, random.Random(11))
         assert a == b and a <= members
-        assert sample_subset(VertexSet(), 3, random.Random(0)) == VertexSet()
+        empty = VertexSet.from_ids([], 30)
+        assert sample_subset(empty, 3, random.Random(0)) == empty
         with pytest.raises(ValueError):
             sample_subset(members, -1, random.Random(0))
+
+    @pytest.mark.parametrize("exponent", [1, 3, 7, 31, 32, 33, 40])
+    @pytest.mark.parametrize("m", [0, 1, 5, 300])
+    def test_sample_draws_as_one_call_per_member(self, exponent, m):
+        """Whether drawn at once or member by member, the kept set and the
+        generator's state afterwards are those of one ``getrandbits(exponent)``
+        call per member, in ascending order."""
+        n = 2 * m + 3
+        ids = list(range(1, n, 2))[:m]
+        members = VertexSet.from_ids(ids, n)
+        reference = random.Random(m * 100 + exponent)
+        want = [w for w in ids if reference.getrandbits(exponent) == 0]
+        rng = random.Random(m * 100 + exponent)
+        got = sample_subset(members, exponent, rng)
+        assert got.ids() == want
+        assert rng.getstate() == reference.getstate()
 
     def test_sample_hits_half_density_on_average(self):
         # [DERIVED] mean of Binomial(100, 1/2) estimated over 10**4 draws;
         # 5% tolerance is 50 standard errors wide
-        members = VertexSet.from_ids(range(100))
+        members = VertexSet.from_ids(range(100), 100)
         total = sum(
             len(sample_subset(members, 1, random.Random(seed)))
             for seed in range(10_000)
@@ -435,26 +457,113 @@ class TestRouteIngredients:
     def test_unit_residue_targets_counts_mod_k(self):
         g = complete_bipartite(3, 3)
         pool = g.side1
-        assert unit_residue_targets(g, pool, g.side2, 3) == VertexSet()
-        assert unit_residue_targets(g, pool, VertexSet.from_ids([4]), 3) == pool
+        assert unit_residue_targets(g, pool, g.side2, 3) == vset(g)
+        assert unit_residue_targets(g, pool, vset(g, [4]), 3) == pool
         assert unit_residue_targets(g, pool, g.side2, 2) == pool
         # a modulus beyond int64 counts as any modulus above every degree
-        assert unit_residue_targets(g, pool, VertexSet.from_ids([4]), 10**20) == pool
+        assert unit_residue_targets(g, pool, vset(g, [4]), 10**20) == pool
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)
     def test_unit_residue_targets_recount(self, g, k):
-        chosen = VertexSet.from_ids(w for w in g.side2 if w % 2)
+        chosen = vset(g, (w for w in g.side2 if w % 2))
         got = unit_residue_targets(g, g.side1, chosen, k)
         want = {v for v in g.side1 if len(nbrs(g, v) & chosen) % k == 1}
         assert set(got) == want
+
+
+def reference_pick(g, chain, scored, draws) -> int:
+    """The per-retry loop that :func:`best_draw` replaced, on Python sets:
+    each draw's unit targets recounted, and a later draw kept only when its
+    (scored units, units) key is strictly larger.  Returns the draw's index."""
+    rows = {v: set(g.neighbor_ids(v)) for v in chain.remainder}
+    scored = set(scored)
+    best = best_key = None
+    for i, draw in enumerate(draws):
+        members = set(draw)
+        units = {v for v, row in rows.items() if len(row & members) % chain.k == 1}
+        key = (len(units & scored), len(units))
+        if best_key is None or key > best_key:
+            best, best_key = i, key
+    return best
+
+
+class TestBestDraw:
+    """The one-pass selection among sampled retries against the loop it
+    replaced."""
+
+    @given(bipartite_graphs(max_side1=9, max_side2=7), st.integers(2, 5),
+           st.integers(1, 4), st.integers(1, 16), st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_the_per_retry_loop(self, g, k, exponent, retries,
+                                                seed, data):
+        chain = build_chain(g, k)
+        remainder = chain.remainder.ids()
+        chosen = data.draw(st.sets(st.sampled_from(remainder))) if remainder else ()
+        rng = random.Random(seed)
+        draws = [sample_subset(chain.deepest, exponent, rng) for _ in range(retries)]
+        for scored in (chain.remainder, vset(g, chosen), vset(g)):
+            pick = reference_pick(g, chain, scored, draws)
+            assert best_draw(g, chain, scored, draws) is draws[pick]
+            # a forced tie: every key comes twice, and the first copy wins
+            doubled = draws + draws
+            assert best_draw(g, chain, scored, doubled) is doubled[pick]
+
+    def test_tie_between_distinct_draws_goes_to_the_first(self):
+        # remainder {9, 10}; a draw of one deepest vertex gives both a
+        # degree of 1, so the key is (scored units, 2) for any single vertex
+        g = boundary_graph()
+        chain = build_chain(g, 2)
+        draws = [vset(g, [12]), vset(g, [11]), vset(g, [11, 12])]
+        assert reference_pick(g, chain, chain.remainder, draws) == 0
+        assert best_draw(g, chain, chain.remainder, draws) is draws[0]
+        assert best_draw(g, chain, chain.remainder, draws[1:]) is draws[1]
+
+    def test_scored_units_rank_before_units(self):
+        # remainder {7, 8, 9, 10} at k = 2; {12} makes 8, 9 and 10 units and
+        # {11, 12} makes only 7 one, the one scored vertex
+        g = staircase_graph()
+        chain = build_chain(g, 2)
+        assert set(chain.remainder) == {7, 8, 9, 10}
+        draws = [vset(g, [12]), vset(g, [11, 12])]
+        assert reference_pick(g, chain, vset(g, [7]), draws) == 1
+        assert best_draw(g, chain, vset(g, [7]), draws) is draws[1]
+
+    @given(bipartite_graphs(max_side1=9, max_side2=7), st.integers(2, 4),
+           st.integers(1, 16), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_run_keeps_the_loop_choice_on_every_route(self, g, k, retries, seed):
+        self.check_sampled_run(g, k, retries, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_sampling_routes(self, seed):
+        # at k = 2 vertex 9 is heavy (route 2) and vertex 10 is not (route 3)
+        trace = self.check_sampled_run(boundary_graph(), 2, 16, seed)
+        assert {2, 3} <= set(trace.routes)
+
+    @staticmethod
+    def check_sampled_run(g, k, retries, seed):
+        """Replays a sampled run's draws, route 2 before route 3 from the
+        one generator, and checks each route's chosen draw."""
+        _, trace = find_mod_one_subgraph(g, k, mode="sampled", seed=seed,
+                                         retries=retries)
+        chain = build_chain(g, k)
+        rng = random.Random(seed)
+        for case, exponent in ((2, 1), (3, trace.bucket_exponent)):
+            route = trace.routes.get(case)
+            if route is None or exponent == 0:
+                continue
+            scored = trace.heavy if case == 2 else trace.bucket
+            draws = [sample_subset(chain.deepest, exponent, rng) for _ in range(retries)]
+            assert route.chosen == draws[reference_pick(g, chain, scored, draws)]
+        return trace
 
 
 class TestFixDegrees:
     def test_star_patch_uses_lowest_levels(self):
         g = star(7, center_side=2)
         chain = build_chain(g, 5)
-        units = VertexSet.from_ids([4, 5, 6])
+        units = vset(g, [4, 5, 6])
         patch = fix_degrees(g, chain, chain.deepest, units)
         assert set(patch) == {0, 1, 2}
         final = patch | chain.deepest | units
@@ -463,28 +572,28 @@ class TestFixDegrees:
     def test_zero_need_leaves_no_patch(self):
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
-        patch = fix_degrees(g, chain, chain.deepest, VertexSet.from_ids([2]))
-        assert patch == VertexSet()
+        patch = fix_degrees(g, chain, chain.deepest, vset(g, [2]))
+        assert patch == vset(g)
 
     def test_single_edge_patch(self):
         g = matching(1)
         chain = build_chain(g, 2)
-        patch = fix_degrees(g, chain, chain.deepest, VertexSet())
+        patch = fix_degrees(g, chain, chain.deepest, vset(g))
         assert set(patch) == {0}
 
     def test_modulus_beyond_int64(self):
         g = matching(2)
         chain = DominatingChain(
-            k=10**20, levels=(ChainLevel({2: 0}),), remainder=VertexSet.from_ids([1])
+            k=10**20, levels=(ChainLevel({2: 0}, g.n),), remainder=vset(g, [1])
         )
-        patch = fix_degrees(g, chain, chain.deepest, VertexSet())
+        patch = fix_degrees(g, chain, chain.deepest, vset(g))
         assert set(patch) == {0}
 
     def test_rejects_chosen_outside_deepest(self):
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
         with pytest.raises(ConstructionError):
-            fix_degrees(g, chain, VertexSet.from_ids([4]), VertexSet())
+            fix_degrees(g, chain, vset(g, [4]), vset(g))
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bipartite_graphs
 from moddeg import graph as graph_module
 from moddeg.cli import main
+from moddeg.generators import complete_bipartite
 from moddeg.graph import (
     BipartiteGraph,
     DuplicateEdgeWarning,
@@ -24,12 +26,18 @@ from moddeg.graph import (
 )
 
 id_sets = st.sets(st.integers(0, 40), max_size=12)
+ID_RANGE = 41  # the vertex count that id_sets draw from
+
+
+def within(g: BipartiteGraph, ids) -> VertexSet:
+    """The members of ``ids`` among the vertices of ``g``."""
+    return VertexSet.from_ids([v for v in ids if v < g.n], g.n)
 
 
 class TestVertexSet:
     @given(id_sets, id_sets)
     def test_operations_match_python_sets(self, a, b):
-        va, vb = VertexSet.from_ids(a), VertexSet.from_ids(b)
+        va, vb = VertexSet.from_ids(a, ID_RANGE), VertexSet.from_ids(b, ID_RANGE)
         assert set(va | vb) == a | b
         assert set(va & vb) == a & b
         assert set(va - vb) == a - b
@@ -37,30 +45,85 @@ class TestVertexSet:
         assert va.isdisjoint(vb) == a.isdisjoint(b)
         assert len(va) == len(a)
         assert (va == vb) == (a == b)
+        assert (hash(va) == hash(vb)) or a != b
 
     @given(id_sets)
     def test_iteration_is_ascending(self, a):
-        assert list(VertexSet.from_ids(a)) == sorted(a)
+        assert list(VertexSet.from_ids(a, ID_RANGE)) == sorted(a)
+        assert VertexSet.from_ids(a, ID_RANGE).ids() == sorted(a)
 
     def test_membership_add_remove(self):
-        s = VertexSet.from_ids([1, 5])
+        s = VertexSet.from_ids([1, 5], 8)
         assert 5 in s and 2 not in s
-        assert set(s | VertexSet.from_ids([2])) == {1, 2, 5}
-        assert set(s - VertexSet.from_ids([5])) == {1}
+        assert -1 not in s and 8 not in s  # no wrap-around, no IndexError
+        assert set(s | VertexSet.from_ids([2], 8)) == {1, 2, 5}
+        assert set(s - VertexSet.from_ids([5], 8)) == {1}
         assert set(s) == {1, 5}  # originals untouched
-        assert VertexSet.from_ids([7]).mask == 1 << 7
+        assert VertexSet.from_ids([7], 8).mask.tolist() == [False] * 7 + [True]
 
     def test_len_is_popcount(self):
-        assert len(VertexSet(0b1011011)) == 0b1011011.bit_count()
+        mask = np.array([1, 1, 0, 1, 1, 0, 1], dtype=bool)
+        assert len(VertexSet(mask)) == 5
 
-    def test_negative_mask_rejected(self):
-        with pytest.raises(ValueError):
-            VertexSet(-1)
+    def test_mask_must_be_a_flat_bool_array(self):
+        for bad in (0b1011, np.array([0, 1]), np.zeros((2, 2), dtype=bool), [True]):
+            with pytest.raises(TypeError):
+                VertexSet(bad)
+
+    def test_masks_are_read_only(self):
+        mask = np.zeros(4, dtype=bool)
+        s = VertexSet(mask)
+        for made in (s, VertexSet.from_ids([1], 4), s | VertexSet.from_ids([2], 4),
+                     s - s, s & s, s.select(np.array([], dtype=bool))):
+            assert not made.mask.flags.writeable
+            with pytest.raises(ValueError):
+                made.mask[0] = True
+        g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
+        for made in (g.side1, g.side2, g.vertices):
+            assert not made.mask.flags.writeable
 
     def test_truthiness_and_hash(self):
-        assert not VertexSet()
-        assert VertexSet.from_ids([0])
-        assert hash(VertexSet.from_ids([2, 3])) == hash(VertexSet(0b1100))
+        assert not VertexSet.from_ids([], 3)
+        assert VertexSet.from_ids([0], 3)
+        assert hash(VertexSet.from_ids([2, 3], 4)) == hash(
+            VertexSet(np.array([0, 0, 1, 1], dtype=bool))
+        )
+
+    @pytest.mark.parametrize("ids, first", [
+        ([0, 4, 9, 5], 4), ([-1, 2], -1), ([3, 2**70], 2**70),
+        (np.array([1, -3, 7]), -3), (np.array([0, 3, 4]), 4),
+    ])
+    def test_ids_outside_the_graph_are_refused(self, ids, first):
+        with pytest.raises(ValueError, match=rf"^vertex id {first} outside \[0, 4\)$"):
+            VertexSet.from_ids(ids, 4)
+
+    def test_out_of_range_id_is_refused_before_verification(self):
+        g = complete_bipartite(2, 2)
+        with pytest.raises(ValueError, match="vertex id 9 outside"):
+            verify_residue(g, VertexSet.from_ids([0, 2, 9], g.n), ResidueSpec(1, 2))
+
+    def test_sets_over_different_counts_do_not_mix(self):
+        small, large = VertexSet.from_ids([1], 3), VertexSet.from_ids([1], 4)
+        assert small != large
+        for op in ("__or__", "__and__", "__sub__", "__le__", "isdisjoint"):
+            with pytest.raises(ValueError, match="over 3 and 4 vertices"):
+                getattr(small, op)(large)
+        g = complete_bipartite(2, 2)
+        with pytest.raises(ValueError, match="vertex set over 3 vertices"):
+            g.degrees_into(small, g.side2)
+        with pytest.raises(ValueError, match="vertex set over 3 vertices"):
+            g.degrees_into(g.side1, small)
+        with pytest.raises(ValueError, match="vertex set over 3 vertices"):
+            g.degrees_into_each(g.side1, g.side2, [small])
+
+    @given(id_sets, st.data())
+    def test_select_and_contains_each(self, a, data):
+        s = VertexSet.from_ids(a, ID_RANGE)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        picked = s.select(np.array(keep, dtype=bool))
+        assert picked.ids() == [v for v, k in zip(sorted(a), keep) if k]
+        probe = np.arange(ID_RANGE)
+        assert s.contains_each(probe).tolist() == [v in a for v in range(ID_RANGE)]
 
 
 class TestResidueSpec:
@@ -159,7 +222,9 @@ class TestFromEdges:
                 BipartiteGraph.from_edges(n1, n2, edges)
             return
         g = BipartiteGraph.from_edges(n1, n2, edges)
-        subset = VertexSet.from_ids(data.draw(st.sets(st.integers(0, n1 + n2 - 1))))
+        subset = VertexSet.from_ids(
+            data.draw(st.sets(st.integers(0, n1 + n2 - 1))), n1 + n2
+        )
         for v, nbrs in reference.items():
             assert g.neighbor_ids(v) == sorted(nbrs)
         ids, counts = g.degrees_into(g.vertices, subset)
@@ -182,8 +247,8 @@ class TestFromEdges:
 class TestDegreeQueries:
     @given(bipartite_graphs(), id_sets, id_sets)
     def test_degree_in_additive_over_disjoint_sets(self, g, a, b):
-        va = VertexSet.from_ids(a) & g.vertices
-        vb = (VertexSet.from_ids(b) & g.vertices) - va
+        va = within(g, a)
+        vb = within(g, b) - va
         (ids, union), (_, left), (_, right) = (
             g.degrees_into(g.vertices, s) for s in (va | vb, va, vb)
         )
@@ -199,11 +264,12 @@ class TestDegreeQueries:
             assert ids.dtype == counts.dtype == "int64"
             return list(zip(ids.tolist(), counts.tolist()))
 
-        one = VertexSet.from_ids([0])
-        assert pairs(one, VertexSet()) == [(0, 0)]
+        one = VertexSet.from_ids([0], g.n)
+        empty = VertexSet.from_ids([], g.n)
+        assert pairs(one, empty) == [(0, 0)]
         assert pairs(one, g.vertices) == [(0, len(g.neighbor_ids(0)))] == [(0, 2)]
-        assert pairs(one, VertexSet.from_ids([2, 3])) == [(0, 2)]
-        assert pairs(VertexSet(), g.vertices) == []
+        assert pairs(one, VertexSet.from_ids([2, 3], g.n)) == [(0, 2)]
+        assert pairs(empty, g.vertices) == []
 
 
 class TestPoolRows:
@@ -213,9 +279,9 @@ class TestPoolRows:
 
     @staticmethod
     def pools(g):
-        yield from (g.side1, g.side2, g.vertices, VertexSet.from_ids([0]),
-                    VertexSet.from_ids([g.n - 1]), VertexSet())
-        yield VertexSet.from_ids(range(0, g.n, 3))  # spread over both sides
+        yield from (g.side1, g.side2, g.vertices, VertexSet.from_ids([0], g.n),
+                    VertexSet.from_ids([g.n - 1], g.n), VertexSet.from_ids([], g.n))
+        yield VertexSet.from_ids(range(0, g.n, 3), g.n)  # spread over both sides
 
     @staticmethod
     def check(g, pool, subset):
@@ -231,14 +297,30 @@ class TestPoolRows:
 
     @given(bipartite_graphs(), id_sets)
     def test_every_pool_matches_a_recount(self, g, subset):
-        subset = VertexSet.from_ids(subset) & g.vertices
+        subset = within(g, subset)
         for pool in self.pools(g):
-            for s in (subset, VertexSet(), g.vertices):
+            for s in (subset, VertexSet.from_ids([], g.n), g.vertices):
                 self.check(g, pool, s)
+
+    @given(bipartite_graphs(), id_sets, id_sets, id_sets)
+    def test_counts_into_each_subset_match_a_recount(self, g, inside, a, b):
+        inside = within(g, inside)
+        subsets = [within(g, a), within(g, b), g.vertices, VertexSet.from_ids([], g.n)]
+        for pool in self.pools(g):
+            ids, each = g.degrees_into_each(pool, inside, subsets)
+            assert ids.dtype == "int64"
+            assert ids.tolist() == pool.ids()
+            assert len(each) == len(subsets)
+            for subset, counts in zip(subsets, each):
+                assert counts.dtype == "int64"
+                members = set(inside & subset)
+                assert counts.tolist() == [
+                    len(set(g.neighbor_ids(v)) & members) for v in pool
+                ]
 
     def test_sole_neighbour_is_the_last_one(self):
         g = BipartiteGraph.from_edges(3, 2, [(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)])
-        ids, counts, last = g.last_neighbors(g.side1, VertexSet.from_ids([3]))
+        ids, counts, last = g.last_neighbors(g.side1, VertexSet.from_ids([3], g.n))
         assert (ids.tolist(), counts.tolist(), last.tolist()) == (
             [0, 1, 2], [1, 0, 1], [3, -1, 3]
         )
@@ -267,17 +349,17 @@ class TestVerifyResidue:
 
     def test_empty_subset_vacuous(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
-        assert verify_residue(g, VertexSet(), ResidueSpec(1, 5))
+        assert verify_residue(g, VertexSet.from_ids([], g.n), ResidueSpec(1, 5))
 
     def test_modulus_beyond_int64(self):
         g = BipartiteGraph.from_edges(1, 2, [(0, 1), (0, 2)])
-        assert verify_residue(g, VertexSet.from_ids([0, 1]), ResidueSpec(1, 10**20))
+        assert verify_residue(g, VertexSet.from_ids([0, 1], g.n), ResidueSpec(1, 10**20))
         check = verify_residue(g, g.vertices, ResidueSpec(1, 10**20))
         assert (check.ok, check.witness, check.witness_residue) == (False, 0, 2)
 
     @given(bipartite_graphs(), id_sets, st.integers(2, 6), st.integers(0, 5))
     def test_agrees_with_naive_recount(self, g, raw, q, r):
-        subset = VertexSet.from_ids(raw) & g.vertices
+        subset = within(g, raw)
         spec = ResidueSpec(r % q, q)
         members = set(subset)
         naive_ok = all(
@@ -349,7 +431,7 @@ class TestParsePermissive:
         # vertex 0's side must stay side 1
         g = parse_graph("0 9\n5 6\n", permissive=True)
         assert (g.n1, g.n2) == (2, 2)
-        ids, counts = g.degrees_into(VertexSet.from_ids([0]), g.side2)
+        ids, counts = g.degrees_into(VertexSet.from_ids([0], g.n), g.side2)
         assert (ids.tolist(), counts.tolist()) == ([0], [1])
 
     def test_empty_document(self):

@@ -100,6 +100,20 @@ class TestResidueDistribution:
             dist = mixing.residue_distribution(n, 4, 1)
             assert np.allclose(table[n], dist.probs, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 16, 29])
+    def test_table_is_bit_identical_to_the_roll_recurrence(self, k):
+        """Each row mixes the one before with its cyclic shift; the reference
+        shifts with ``np.roll``, the library with slices."""
+        for n_max in (0, 1, 4, 37):
+            for exponent in range(8):
+                q = 2.0 ** -exponent
+                want = np.zeros((n_max + 1, k))
+                want[0, 0] = 1.0
+                for i in range(n_max):
+                    want[i + 1] = (1.0 - q) * want[i] + q * np.roll(want[i], 1)
+                got = mixing.residue_table(n_max, k, exponent)
+                assert got.tobytes() == want.tobytes(), (n_max, exponent)
+
     def test_table_exponent_zero_is_exact_point_masses(self):
         table = mixing.residue_table(9, 4, 0)
         for n in range(10):
@@ -208,7 +222,8 @@ def brute_conditional_expectation(
 class TestDerandomize:
     def test_empty_scored_returns_empty(self):
         g = BipartiteGraph.from_edges(1, 2, [(0, 1), (0, 2)])
-        assert mixing.derandomize_subset(g, g.side2, VertexSet(), 2, 1) == VertexSet()
+        empty = VertexSet.from_ids([], g.n)
+        assert mixing.derandomize_subset(g, g.side2, empty, 2, 1) == empty
 
     def test_single_neighbour_gets_included(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
@@ -233,17 +248,17 @@ class TestDerandomize:
         expectation evaluator; the chosen subsets must coincide exactly."""
         exponent = 1
         members, scored = g.side2, list(g.side1)
-        kept = VertexSet()
-        dropped = VertexSet()
+        kept = VertexSet.from_ids([], g.n)
+        dropped = VertexSet.from_ids([], g.n)
         remaining = list(members)
         while remaining:
             w = remaining[0]
             rest = remaining[1:]
             e_keep = brute_conditional_expectation(
-                g, scored, kept | VertexSet.from_ids([w]), dropped, rest, k, exponent
+                g, scored, kept | VertexSet.from_ids([w], g.n), dropped, rest, k, exponent
             )
             e_drop = brute_conditional_expectation(
-                g, scored, kept, dropped | VertexSet.from_ids([w]), rest, k, exponent
+                g, scored, kept, dropped | VertexSet.from_ids([w], g.n), rest, k, exponent
             )
             # martingale identity: branch average equals the pre-decision value
             e_now = brute_conditional_expectation(
@@ -252,9 +267,9 @@ class TestDerandomize:
             q = Fraction(1, 2**exponent)
             assert q * e_keep + (1 - q) * e_drop == e_now
             if e_keep > e_drop:
-                kept = kept | VertexSet.from_ids([w])
+                kept = kept | VertexSet.from_ids([w], g.n)
             else:
-                dropped = dropped | VertexSet.from_ids([w])
+                dropped = dropped | VertexSet.from_ids([w], g.n)
             remaining = rest
         assert mixing.derandomize_subset(g, members, g.side1, k, exponent) == kept
 
@@ -277,7 +292,7 @@ class TestExpectedUnitScore:
         total = Fraction(0)
         for mask in range(1 << len(member_ids)):
             subset = VertexSet.from_ids(
-                w for i, w in enumerate(member_ids) if mask >> i & 1
+                [w for i, w in enumerate(member_ids) if mask >> i & 1], g.n
             )
             weight = q ** len(subset) * (1 - q) ** (len(member_ids) - len(subset))
             hits = sum(
@@ -288,7 +303,8 @@ class TestExpectedUnitScore:
 
     def test_empty_scored(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
-        assert mixing.expected_unit_score(g, g.side2, VertexSet(), 3, 1) == 0.0
+        empty = VertexSet.from_ids([], g.n)
+        assert mixing.expected_unit_score(g, g.side2, empty, 3, 1) == 0.0
 
     def test_adds_left_to_right_in_ascending_id_order(self):
         # degrees up to 60 at exponents 2 and 3 give table entries that round,

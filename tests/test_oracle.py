@@ -119,9 +119,10 @@ class TestExactMaxOrder:
         assert verify_residue(g, result.witness, spec).ok
 
     def test_unattainable_residue_gives_empty_witness(self):
-        result = exact_max_order(matching(1), ResidueSpec(3, 5))
+        g = matching(1)
+        result = exact_max_order(g, ResidueSpec(3, 5))
         assert result.order == 0
-        assert result.witness == VertexSet()
+        assert result.witness == VertexSet.from_ids([], g.n)
         assert result.exact
 
     def test_budget_exhaustion_flags_timeout(self):
