@@ -79,7 +79,8 @@ class DominatingChain:
         return self.levels[-1].dominators
 
     def dominator_sizes(self) -> list[int]:
-        return [len(level.dominators) for level in self.levels]
+        # one private per dominator, and no mask to count on padded levels
+        return [len(level.private_of) for level in self.levels]
 
 
 # The size analysis classifies a run as route 1 when the first dominator

@@ -265,30 +265,32 @@ def derandomize_subset(
     with probability 2^-exponent -- is evaluated exactly for both choices and
     the larger branch is taken (ties drop the member, keeping the subset
     small).  The result therefore scores at least the a-priori expectation.
+
+    Cost: one pass over the scored vertices' rows and one over the
+    members', plus one Python step per (member, scored neighbour) pair.
     """
     if exponent < 1:
         raise ValueError(f"inclusion exponent must be >= 1, got {exponent}")
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
 
+    # per scored vertex, by its position in ids: undecided neighbours among
+    # the members and the residue they still need to supply
     ids, counts = graph.degrees_into(scored, members)
-    undecided = dict(zip(ids.tolist(), counts.tolist()))
-    needed = {v: 1 % k for v in undecided}
-    max_deg = max(undecided.values(), default=0)
+    undecided = counts.tolist()
+    needed = [1 % k] * len(undecided)
     # rows of Python floats: indexing them is cheaper than indexing the array
-    table = residue_table(max_deg, k, exponent).tolist()
+    table = residue_table(max(undecided, default=0), k, exponent).tolist()
 
-    # Scored neighbours of each member, so a decision only touches the
-    # vertices it can influence.
-    touches: dict[int, list[int]] = {w: [] for w in members}
-    for v in undecided:
-        for w in graph.neighbor_ids(v):
-            if w in touches:
-                touches[w].append(v)
+    # Scored neighbours of each member, ascending, as positions in ids, so a
+    # decision only touches the vertices it can influence.
+    member_ids, offsets, neighbours = graph.neighbors_within(members, scored)
+    touches = np.searchsorted(ids, neighbours).tolist()
+    offsets = offsets.tolist()
 
     kept = []
-    for w in members:
-        affected = touches[w]
+    for w, start, stop in zip(member_ids.tolist(), offsets, offsets[1:]):
+        affected = touches[start:stop]
         gain_drop = 0.0
         gain_keep = 0.0
         for v in affected:

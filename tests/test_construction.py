@@ -275,6 +275,22 @@ class TestBuildChain:
         assert chain.dominator_sizes() == [1] * 6 + [0] * 43
         assert check_chain(g, chain) == []
 
+    def test_sizes_count_no_set_on_padded_levels(self, monkeypatch):
+        g = star(6, center_side=2)
+        chain = build_chain(g, 500)
+        counted = VertexSet.__len__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return counted(self)
+
+        monkeypatch.setattr(VertexSet, "__len__", counting)
+        sizes = chain.dominator_sizes()
+        assert calls == []
+        assert sizes == [1] * 6 + [0] * 493
+        assert sizes == [counted(level.dominators) for level in chain.levels]
+
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             build_chain(matching(2), 1)

@@ -330,6 +330,54 @@ class TestPoolRows:
         )
 
 
+class TestNeighborsWithin:
+    """``neighbors_within`` is checked against each member's whole row cut
+    to the subset."""
+
+    @staticmethod
+    def rows(g, pool, subset):
+        ids, offsets, neighbors = g.neighbors_within(pool, subset)
+        for array in (ids, offsets, neighbors):
+            assert array.dtype == "int64"
+        assert ids.tolist() == pool.ids()
+        assert offsets[0] == 0 and offsets[-1] == len(neighbors)
+        return [neighbors[a:b].tolist() for a, b in zip(offsets, offsets[1:])]
+
+    @given(bipartite_graphs(), id_sets, id_sets)
+    def test_every_pool_matches_a_cut_row(self, g, pool, subset):
+        subset = within(g, subset)
+        for p in (*TestPoolRows.pools(g), within(g, pool)):
+            for s in (subset, VertexSet.from_ids([], g.n), g.vertices):
+                assert self.rows(g, p, s) == [
+                    [u for u in g.neighbor_ids(v) if u in s] for v in p
+                ]
+
+    def test_empty_pool_and_empty_subset(self):
+        g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 3)])
+        empty = VertexSet.from_ids([], g.n)
+        ids, offsets, neighbors = g.neighbors_within(empty, g.vertices)
+        assert (ids.tolist(), offsets.tolist(), neighbors.tolist()) == ([], [0], [])
+        assert self.rows(g, empty, empty) == []
+        assert self.rows(g, g.side1, empty) == [[], []]
+        assert self.rows(g, g.side2, empty) == [[], []]
+
+    def test_rows_between_members_are_left_out(self):
+        g = BipartiteGraph.from_edges(
+            3, 3, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)]
+        )
+        gaps = VertexSet.from_ids([0, 2], g.n)
+        ids, offsets, neighbors = g.neighbors_within(gaps, g.side2)
+        assert (ids.tolist(), offsets.tolist(), neighbors.tolist()) == (
+            [0, 2], [0, 2, 4], [3, 4, 4, 5]
+        )
+        assert self.rows(g, gaps, VertexSet.from_ids([4], g.n)) == [[4], [4]]
+        # across the sides: the rows of 2 and 3 lie between 1 and 4
+        across = VertexSet.from_ids([1, 4], g.n)
+        assert self.rows(g, across, g.vertices - VertexSet.from_ids([5], g.n)) == [
+            [3], [0, 2]
+        ]
+
+
 class TestVerifyResidue:
     def test_single_edge_all_moduli(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])

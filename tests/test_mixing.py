@@ -219,6 +219,39 @@ def brute_conditional_expectation(
     return total
 
 
+def touches_derandomize(
+    graph: BipartiteGraph, members: VertexSet, scored: VertexSet, k: int, exponent: int
+) -> VertexSet:
+    """Reference derandomizer on dicts keyed by vertex id: each member's
+    scored neighbours are collected from the scored vertices' whole rows,
+    and each member sums its neighbours' gains in ascending id order."""
+    undecided = {
+        v: sum(1 for w in graph.neighbor_ids(v) if w in members) for v in scored
+    }
+    needed = {v: 1 % k for v in undecided}
+    table = mixing.residue_table(max(undecided.values(), default=0), k, exponent)
+    touches: dict[int, list[int]] = {w: [] for w in members}
+    for v in undecided:
+        for w in graph.neighbor_ids(v):
+            if w in touches:
+                touches[w].append(v)
+    kept = []
+    for w in members:
+        gain_drop = gain_keep = 0.0
+        for v in touches[w]:
+            row = table[undecided[v] - 1].tolist()
+            gain_drop += row[needed[v]]
+            gain_keep += row[(needed[v] - 1) % k]
+        keep = gain_keep > gain_drop
+        for v in touches[w]:
+            undecided[v] -= 1
+            if keep:
+                needed[v] = (needed[v] - 1) % k
+        if keep:
+            kept.append(w)
+    return VertexSet.from_ids(kept, graph.n)
+
+
 class TestDerandomize:
     def test_empty_scored_returns_empty(self):
         g = BipartiteGraph.from_edges(1, 2, [(0, 1), (0, 2)])
@@ -272,6 +305,49 @@ class TestDerandomize:
                 dropped = dropped | VertexSet.from_ids([w], g.n)
             remaining = rest
         assert mixing.derandomize_subset(g, members, g.side1, k, exponent) == kept
+
+    @given(
+        bipartite_graphs(max_side1=9, max_side2=9),
+        st.integers(2, 6),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_proper_subsets_match_the_reference(self, g, k, exponent, data):
+        """Members and scored vertices drawn as any subsets of side 2 and
+        side 1, so some members may have no scored neighbour and some
+        scored vertices no member neighbour."""
+        members, scored = (
+            VertexSet.from_ids(data.draw(st.sets(st.sampled_from(side.ids()))), g.n)
+            for side in (g.side2, g.side1)
+        )
+        assert mixing.derandomize_subset(
+            g, members, scored, k, exponent
+        ) == touches_derandomize(g, members, scored, k, exponent)
+
+    def test_isolated_members_and_scored_vertices(self):
+        # 0 ~ 4, 5; 1 ~ 4; 2 ~ 5, 6; 3 ~ 7.  Member 6 has no scored
+        # neighbour and scored 3 no member neighbour.
+        g = BipartiteGraph.from_edges(
+            4, 4, [(0, 4), (0, 5), (1, 4), (2, 5), (2, 6), (3, 7)]
+        )
+        members = VertexSet.from_ids([4, 5, 6], g.n)
+        scored = VertexSet.from_ids([0, 1, 3], g.n)
+        for k in range(2, 7):
+            for exponent in range(1, 5):
+                kept = mixing.derandomize_subset(g, members, scored, k, exponent)
+                assert kept == touches_derandomize(g, members, scored, k, exponent)
+                assert kept == VertexSet.from_ids([4], g.n)
+
+    def test_gains_add_in_ascending_id_order(self):
+        """K(4, 54) less three edges at k = 2, exponent 2: a member's gains
+        round differently when its scored neighbours are added in another
+        order, and the kept set changes with it."""
+        holes = {(3, 4), (3, 41), (3, 47)}
+        edges = [(u, w) for u in range(4) for w in range(4, 58) if (u, w) not in holes]
+        g = BipartiteGraph.from_edges(4, 54, edges)
+        kept = mixing.derandomize_subset(g, g.side2, g.side1, 2, 2)
+        assert kept == touches_derandomize(g, g.side2, g.side1, 2, 2)
 
     def test_validation(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
