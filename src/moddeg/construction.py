@@ -52,6 +52,16 @@ class ChainLevel:
     private_of: Mapping[int, int]
     n: int
 
+    @classmethod
+    def with_dominators(
+        cls, private_of: Mapping[int, int], dominators: VertexSet, n: int
+    ) -> "ChainLevel":
+        """The level of ``private_of``, whose keys are the members of
+        ``dominators``; the level keeps that set rather than build it again."""
+        level = cls(private_of, n)
+        vars(level)["dominators"] = dominators  # the cached property's slot
+        return level
+
     @cached_property
     def dominators(self) -> VertexSet:
         return VertexSet.from_ids(self.private_of, self.n)
@@ -102,7 +112,8 @@ def minimal_dominating_set(
     deterministic.  Returns the level mapping each kept dominator to its
     smallest-id private target (a target whose only kept neighbour it is);
     minimality guarantees one exists for every kept dominator.  The mapping
-    is ordered by private.
+    is ordered by private, and the level keeps the kept set as its
+    dominators.
 
     Cost: the removal order makes a target block a removal only at its last
     (largest-id) candidate neighbour, and only while none of its earlier
@@ -139,17 +150,18 @@ def minimal_dominating_set(
                 for u in graph.neighbor_ids(w):
                     dominated[u] = 1
                 break
+    dominators = VertexSet.from_ids(kept, graph.n)
 
     # a target with one kept neighbour is private to it; in ascending order
     # of the privates, the first private of a dominator is its smallest one
-    ids, counts, last = graph.last_neighbors(targets, VertexSet.from_ids(kept, graph.n))
-    privates, owners = ids[counts == 1], last[counts == 1]
-    _, first = np.unique(owners, return_index=True)
-    first.sort()
-    private_of = dict(zip(owners[first].tolist(), privates[first].tolist()))
+    ids, counts, last = graph.last_neighbors(targets, dominators)
+    sole = counts == 1
+    private_of = {}
+    for w, v in zip(last[sole].tolist(), ids[sole].tolist()):
+        private_of.setdefault(w, v)
     if len(private_of) != len(kept):
         raise ConstructionError("kept dominator without a private target")
-    return ChainLevel(private_of, graph.n)
+    return ChainLevel.with_dominators(private_of, dominators, graph.n)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:

@@ -5,6 +5,9 @@ Vertex ids are dense 0-based integers: ids ``0..n1-1`` form side 1 and ids
 NumPy ``int64`` arrays in compressed sparse row form: the neighbours of ``v``
 are ``indices[indptr[v]:indptr[v+1]]``, in ascending order, so memory is
 O(n + E) and a degree count into a vertex set is one vectorized O(E) pass.
+Building it from an edge list sorts one E-length key buffer and writes the
+CSR in place, never into the caller's array, so a build's working memory
+is little more than its input and its output.
 A :class:`VertexSet` is a read-only NumPy bool mask of length n, the
 graph's vertex count, so a degree query reads a subset's membership of
 each CSR entry with one gather, and a pool's ids are the mask's nonzero
@@ -219,6 +222,12 @@ class BipartiteGraph:
         with a :class:`DuplicateEdgeWarning`.  Raises if any edge fails to
         cross sides or any vertex ends up isolated; an invalid edge is
         reported as the first one in input order.
+
+        Working memory: besides the two endpoint columns (views of an
+        ``int64`` array, else one ``int64`` copy of the input) and the CSR
+        it returns, the build holds one E-length ``int64`` key buffer, a
+        second one only until the keys are formed, and a few bool and
+        n-length arrays.  It never writes into the caller's array.
         """
         if n1 < 1 or n2 < 1:
             raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
@@ -234,17 +243,24 @@ class BipartiteGraph:
             edges = flat.reshape(-1, 2)
         if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
             raise GraphError("edges must be pairs of signed integer vertex ids")
+        # views of an int64 input: only ever read
         a, b = edges.astype(np.int64, copy=False).T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        out_of_range = (lo < 0) | (hi >= n)
-        bad = out_of_range | (lo >= n1) | (hi < n1)
+        key, right = np.minimum(a, b), np.maximum(a, b)
+        right -= n1
+        # as unsigned, a negative end lies beyond every side
+        bad = key.view(np.uint64) >= n1
+        bad |= right.view(np.uint64) >= n2
         if bad.any():
             i = int(bad.argmax())
-            if out_of_range[i]:
+            lo, hi = sorted((int(a[i]), int(b[i])))
+            if lo < 0 or hi >= n:
                 raise GraphError(f"edge ({a[i]}, {b[i]}) out of range for {n} vertices")
-            raise GraphError(f"edge ({lo[i]}, {hi[i]}) does not join side 1 to side 2")
+            raise GraphError(f"edge ({lo}, {hi}) does not join side 1 to side 2")
+        del bad
         # one key per edge, ordered by (side-1 end, side-2 end)
-        key = lo * n2 + (hi - n1)
+        key *= n2
+        key += right
+        del right  # freed before the CSR is allocated, to bound the peak
         key.sort()
         fresh = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
@@ -256,19 +272,26 @@ class BipartiteGraph:
                 stacklevel=2,
             )
             key = key[fresh]
-        left, right = np.divmod(key, n2)
-        degrees = np.concatenate(
-            (np.bincount(left, minlength=n1), np.bincount(right, minlength=n2))
-        )
+        del fresh
+        # side-1 rows come sorted with the keys: their side-2 ends go to the
+        # first half, and the side-1 ends wait in the second
+        m = len(key)
+        indices = np.empty(2 * m, dtype=np.int64)
+        right, left = indices[:m], indices[m:]
+        np.divmod(key, n2, out=(left, right))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        degrees = indptr[1:]
+        degrees[:n1] = np.bincount(left, minlength=n1)
+        degrees[n1:] = np.bincount(right, minlength=n2)
         if not degrees.all():
             raise IsolatedVertexError(int(np.argmin(degrees)))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        # side-1 rows come sorted with the keys; side-2 rows need the
-        # transposed order
-        transposed = right * n1 + left
-        transposed.sort()
-        indices = np.concatenate((right + n1, transposed % n1))
+        np.cumsum(degrees, out=degrees)
+        # side-2 rows need the transposed order, sorted in the key buffer
+        np.multiply(right, n1, out=key)
+        key += left
+        key.sort()
+        right += n1
+        np.remainder(key, n1, out=left)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return cls(n1=n1, n2=n2, adj=(indptr, indices))

@@ -261,6 +261,17 @@ class TestBuildChain:
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
 
+    def test_each_level_keeps_the_set_it_kept(self):
+        g = random_regularish(60, 30, 3, random.Random(1))
+        # the kept set comes with the level, not rebuilt from private_of
+        assert "dominators" in vars(minimal_dominating_set(g, g.side1, g.side2))
+        for level in build_chain(g, 5).levels:
+            assert level.dominators == VertexSet.from_ids(level.private_of, g.n)
+            privates = list(level.private_of.values())
+            assert privates == sorted(privates)
+        level = ChainLevel({4: 0, 5: 1}, complete_bipartite(3, 3).n)
+        assert level.dominators == VertexSet.from_ids([4, 5], level.n)
+
     def test_levels_after_the_last_target_cost_no_search(self, monkeypatch):
         calls = []
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bipartite_graphs
 from moddeg import graph as graph_module
 from moddeg.cli import main
-from moddeg.generators import complete_bipartite
+from moddeg.generators import complete_bipartite, random_regularish
 from moddeg.graph import (
     BipartiteGraph,
     DuplicateEdgeWarning,
@@ -165,6 +167,35 @@ class TestFromEdges:
         with pytest.raises(IsolatedVertexError):
             BipartiteGraph.from_edges(2, 1, [(0, 2)])
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 2), (5, 1)], "edge (5, 1) out of range for 4 vertices"),
+        ([(0, 2), (2, -1)], "edge (2, -1) out of range for 4 vertices"),
+        ([(0, 2), (3, 2)], "edge (2, 3) does not join side 1 to side 2"),
+        ([(1, 0), (0, 3)], "edge (0, 1) does not join side 1 to side 2"),
+        # the first bad edge in input order is named, whichever its kind
+        ([(0, 2), (1, 0), (4, 0)], "edge (0, 1) does not join side 1 to side 2"),
+        ([(0, 2), (4, 0), (1, 0)], "edge (4, 0) out of range for 4 vertices"),
+    ])
+    def test_bad_edge_messages(self, edges, message, as_array):
+        given_edges = np.array(edges) if as_array else edges
+        with pytest.raises(GraphError) as caught:
+            BipartiteGraph.from_edges(2, 2, given_edges)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("layout", ["int64", "swapped columns", "int32"])
+    def test_caller_array_is_left_unchanged(self, layout):
+        rows = np.array([[2, 5], [0, 3], [4, 1], [1, 3], [2, 4], [0, 5]])
+        edges = {
+            "int64": rows,
+            "swapped columns": rows[:, ::-1],
+            "int32": rows.astype(np.int32),
+        }[layout]
+        before = edges.copy()
+        g = BipartiteGraph.from_edges(3, 3, edges)
+        assert edges.dtype == before.dtype and np.array_equal(edges, before)
+        assert g == BipartiteGraph.from_edges(3, 3, rows.tolist())
+
     def test_empty_side(self):
         with pytest.raises(GraphError):
             BipartiteGraph.from_edges(0, 3, [])
@@ -174,6 +205,14 @@ class TestFromEdges:
         with pytest.warns(DuplicateEdgeWarning):
             g = BipartiteGraph.from_edges(1, 1, edges)
         assert g.edge_count() == 1
+
+    def test_duplicates_give_the_deduplicated_csr(self):
+        edges = np.array([[1, 2], [3, 0], [2, 1], [0, 2], [0, 3], [1, 2]])
+        with pytest.warns(DuplicateEdgeWarning, match="deduplicated 3 repeated"):
+            g = BipartiteGraph.from_edges(2, 2, edges)
+        assert g.adj[0].tolist() == [0, 2, 3, 5, 6]
+        assert g.adj[1].tolist() == [2, 3, 2, 0, 1, 0]
+        assert g == BipartiteGraph.from_edges(2, 2, [(1, 2), (3, 0), (0, 2)])
 
     def test_immutable(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
@@ -242,6 +281,41 @@ class TestFromEdges:
                 assert v in g.neighbor_ids(u)
                 assert (v < g.n1) != (u < g.n1)
             assert len(g.neighbor_ids(v)) >= 1
+
+
+class TestBuildMemory:
+    """The working memory of a graph build, as traced by ``tracemalloc``,
+    to which NumPy reports its buffers: at most a small multiple of the CSR
+    it returns."""
+
+    @pytest.fixture(scope="class")
+    def graph_and_edges(self):
+        g = random_regularish(20000, 10000, 5, random.Random(1))
+        left, right = g._edge_ends()
+        order = np.random.default_rng(1).permutation(g.edge_count())
+        return g, np.column_stack((left, right))[order]
+
+    @staticmethod
+    def peak_ratio(build, *args) -> float:
+        """The traced peak of ``build(*args)`` over its CSR's bytes."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = build(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / sum(array.nbytes for array in g.adj)
+
+    def test_from_edges_peak(self, graph_and_edges):
+        g, edges = graph_and_edges
+        assert len(edges) > 100_000
+        assert self.peak_ratio(BipartiteGraph.from_edges, g.n1, g.n2, edges) <= 2.0
+
+    def test_parse_graph_peak(self, graph_and_edges):
+        g, _ = graph_and_edges
+        assert self.peak_ratio(parse_graph, serialize_graph(g)) <= 3.5
 
 
 class TestDegreeQueries:
