@@ -5,10 +5,11 @@ Given a validated bipartite graph with minimum degree >= 1 and a modulus k,
 a subgraph in which every degree is congruent to 1 mod k.  It works in three
 stages:
 
-1. Build a chain of k-1 nested minimal dominating sets of side 1 inside
-   side 2, each paired with private neighbours that certify minimality
-   (:func:`build_chain`).  The first level alone already yields an induced
-   matching, which is a valid answer for every k.
+1. Build a chain of up to k-1 nested minimal dominating sets of side 1
+   inside side 2, stopping when no side-1 target is left, each paired with
+   private neighbours that certify minimality (:func:`build_chain`).  The
+   first level alone already yields an induced matching, which is a valid
+   answer for every k.
 2. Split the leftover side-1 vertices by their degree into the deepest
    dominating set: vertices with at least k^3 such neighbours are handled by
    half-density sampling, the rest by sampling at the dyadic density matched
@@ -77,6 +78,10 @@ class DominatingChain:
 
     Level i dominates the side-1 vertices not already claimed as privates by
     levels before it; ``remainder`` is side 1 minus every private set.
+    A chain holds only the levels that were built: at most k-1 of them,
+    each with at least one dominator, and exactly k-1 whenever the
+    remainder is non-empty.  A shorter chain stopped because side 1 ran
+    out of targets.
     """
 
     k: int
@@ -89,7 +94,7 @@ class DominatingChain:
         return self.levels[-1].dominators
 
     def dominator_sizes(self) -> list[int]:
-        # one private per dominator, and no mask to count on padded levels
+        # one private per dominator
         return [len(level.private_of) for level in self.levels]
 
 
@@ -165,24 +170,22 @@ def minimal_dominating_set(
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
-    """Build the k-1 nested levels of minimal dominating sets with privates.
+    """Build up to k-1 nested levels of minimal dominating sets with privates.
 
     Level 1 dominates all of side 1 from within side 2; each later level
     dominates the side-1 vertices not yet claimed as privates, drawing its
     dominators from the previous level.  Every remaining target keeps a
     neighbour in the previous level by that level's domination, so the
-    recursion never fails on a validated graph.
+    recursion never fails on a validated graph.  Each level claims at least
+    one private, so the chain stops after at most n1 levels once no target
+    is left, whatever k is.
     """
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
     targets = graph.side1
     candidates = graph.side2
     levels = []
-    for _ in range(k - 1):
-        if not targets:
-            # nothing left to dominate: every later level is empty
-            levels.extend([ChainLevel({}, graph.n)] * (k - 1 - len(levels)))
-            break
+    while targets and len(levels) < k - 1:
         level = minimal_dominating_set(graph, targets, candidates)
         levels.append(level)
         targets = targets - level.privates
@@ -193,20 +196,29 @@ def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
 def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
     """Re-verify every chain invariant from scratch; returns violations.
 
-    O(E) per level and independent of how the chain was built: nesting,
-    equal dominator/private cardinalities, disjointness of private sets, the
-    private-neighbour property, domination of each level's targets,
-    minimality of each level, and the remainder identity and lower bound.
+    O(E) per level and independent of how the chain was built: the level
+    count (at most k-1, and exactly k-1 while the remainder is non-empty),
+    non-empty levels, nesting, equal dominator/private cardinalities,
+    disjointness of private sets, the private-neighbour property,
+    domination of each level's targets, minimality of each level, and the
+    remainder identity and lower bound.
     """
     problems = []
-    if len(chain.levels) != chain.k - 1:
+    if len(chain.levels) > chain.k - 1:
         problems.append(
-            f"expected {chain.k - 1} levels, found {len(chain.levels)}"
+            f"expected at most {chain.k - 1} levels, found {len(chain.levels)}"
+        )
+    elif chain.remainder and len(chain.levels) < chain.k - 1:
+        problems.append(
+            f"expected {chain.k - 1} levels while targets remain, "
+            f"found {len(chain.levels)}"
         )
     previous = graph.side2
     claimed = VertexSet.from_ids([], graph.n)
     for idx, level in enumerate(chain.levels, start=1):
         doms, privs = level.dominators, level.privates
+        if not doms:
+            problems.append(f"level {idx}: holds no dominator")
         if not doms <= previous:
             problems.append(f"level {idx}: dominators not nested in previous level")
         if len(privs) != len(doms):
@@ -310,15 +322,17 @@ def best_draw(
     1 mod k, hold the most members of ``scored``; ties go to the most unit
     targets.
 
-    One pass over the remainder's rows counts every draw
-    (:meth:`BipartiteGraph.degrees_into_each`).
+    One pass over the remainder's rows reads their neighbours in the
+    deepest level; each draw then costs one gather and one count.
     """
-    ids, each = graph.degrees_into_each(chain.remainder, chain.deepest, draws)
+    ids, offsets, neighbors = graph.neighbors_within(chain.remainder, chain.deepest)
+    owner = np.repeat(np.arange(len(ids)), np.diff(offsets))
     is_scored = scored.contains_each(ids)
     # whether a degree, always below n, is 1 mod k
     is_unit = np.arange(graph.n) % min(chain.k, graph.n) == 1
     keys = []
-    for degrees in each:
+    for draw in draws:
+        degrees = np.bincount(owner[draw.contains_each(neighbors)], minlength=len(ids))
         units = is_unit[degrees]
         keys.append((np.count_nonzero(units & is_scored), np.count_nonzero(units)))
     return draws[keys.index(max(keys))]

@@ -17,13 +17,12 @@ and ids outside [0, n) are refused when a set is built.
 This module alone knows both formats.  The rest of the package works through
 :class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (one row
 as a list), and :meth:`BipartiteGraph.degrees_into`,
-:meth:`BipartiteGraph.last_neighbors`,
-:meth:`BipartiteGraph.degrees_into_each` and
+:meth:`BipartiteGraph.last_neighbors` and
 :meth:`BipartiteGraph.neighbors_within`, which read only the rows from a
 pool's first member to its last and return ``int64`` arrays aligned with
-the pool's ids: each member's neighbour count in a subset (or in each of
-several subsets), from the second its largest neighbour there, and from
-the last its neighbours there, as CSR offsets into one flat array.
+the pool's ids: each member's neighbour count in a subset, from the second
+its largest neighbour there, and from the last its neighbours there, as
+CSR offsets into one flat array.
 
 A labeled document is read by C-level ``bytes`` scans and one NumPy pass
 over the positions of its blank bytes when it is plain ASCII digits, blanks,
@@ -348,24 +347,6 @@ class BipartiteGraph:
         members = np.where(hits, entries, -1)
         return ids, counts, np.maximum.reduceat(members, starts)[rows]
 
-    def degrees_into_each(
-        self, pool: VertexSet, within: VertexSet, subsets: list[VertexSet]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The members of ``pool`` in ascending order and, for each of
-        ``subsets``, each member's neighbour count inside both ``within``
-        and that subset, as aligned ``int64`` arrays.
-
-        The pool's rows are read once and cut to their entries in
-        ``within``; each subset then costs one gather over those entries and
-        one count per member, so many subsets of a small ``within`` cost
-        little more than one."""
-        ids, member, cut = self._pool_entries(pool, within)
-        each = [
-            np.bincount(member[self._own(subset)[cut]], minlength=len(ids))
-            for subset in subsets
-        ]
-        return ids, each
-
     def neighbors_within(
         self, pool: VertexSet, subset: VertexSet
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,17 +354,6 @@ class BipartiteGraph:
         inside ``subset`` in CSR form, as three ``int64`` arrays ``(ids,
         offsets, neighbors)``: the neighbours of ``ids[i]`` inside
         ``subset`` are ``neighbors[offsets[i]:offsets[i + 1]]``, ascending."""
-        ids, member, cut = self._pool_entries(pool, subset)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(member, minlength=len(ids)), out=offsets[1:])
-        return ids, offsets, cut
-
-    def _pool_entries(
-        self, pool: VertexSet, subset: VertexSet
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The members of ``pool`` in ascending order, and the entries of
-        their rows that lie in ``subset``, in row order: each entry's
-        member, as a position in the ids, and the entry itself."""
         ids, rows, starts, entries, hits = self._pool_rows(pool, subset)
         # each entry's member, the position of its row's vertex in ids, or
         # -1 for a row between members
@@ -391,7 +361,9 @@ class BipartiteGraph:
         member[rows] = np.arange(len(ids))
         member = np.repeat(member, np.diff(starts, append=len(entries)))
         keep = hits & (member >= 0)
-        return ids, member[keep], entries[keep]
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(member[keep], minlength=len(ids)), out=offsets[1:])
+        return ids, offsets, entries[keep]
 
     def _own(self, vertex_set: VertexSet) -> np.ndarray:
         """The mask of ``vertex_set``, which must be drawn from this graph's

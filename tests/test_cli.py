@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -182,6 +183,26 @@ class TestFind:
         )
         assert code == 0
         assert out == want.replace("MODE", mode).replace("SEED", seed)
+
+    def test_modulus_far_beyond_the_chain_costs_nothing(self, tmp_path, capsys):
+        # side 1 runs out of targets long before k - 1 levels, and no
+        # level is built, kept or reported past that point
+        path = tmp_path / "regularish.txt"
+        assert main(["gen", "--kind", "regularish", "--seed", "1", "--param", "n1=40",
+                     "--param", "n2=20", "--param", "degree=3", "--out", str(path)]) == 0
+        payloads = {}
+        for k in (10**6, 10**12):
+            start = time.perf_counter()
+            code, out, _ = run(
+                ["find", "--input", str(path), "--k", str(k), "--json"], capsys
+            )
+            elapsed = time.perf_counter() - start
+            assert code == 0
+            assert elapsed < 1.0
+            payloads[k] = json.loads(out)
+        assert payloads[10**12].pop("k") == 10**12
+        assert payloads[10**6].pop("k") == 10**6
+        assert payloads[10**12] == payloads[10**6]
 
     def test_trace_file(self, star_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"
@@ -439,6 +460,23 @@ class TestBench:
         assert "# schema_version=1 k=3 mode=derandomized seed=4" in out
         assert out.count("matching") == 2
         assert out.count("complete") == 1
+
+    def test_modulus_far_beyond_every_chain(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"k": 10**12, "instances": [
+            {"kind": "star", "params": {"leaves": 6, "center_side": 2}},
+            {"kind": "random", "count": 4, "params": {"n1": 8, "n2": 6, "p": 0.3}},
+        ]})
+        code, out, _ = run(
+            ["bench", "--spec", str(path), "--oracle-max-n", "20", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert len(records) == 5
+        for record in records:
+            assert record["error"] is None
+            assert record["verified"] is True
+            assert record["optimum_exact"] is True
 
     def test_oracle_column(self, batch, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

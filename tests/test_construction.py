@@ -241,10 +241,10 @@ class TestBuildChain:
     def test_matching_exhausts_targets_early(self):
         g = matching(4)
         chain = build_chain(g, 3)
+        assert len(chain.levels) == 1
         assert len(chain.levels[0].dominators) == 4
-        assert len(chain.levels[1].dominators) == 0
         assert chain.remainder == vset(g)
-        assert chain.deepest == vset(g)
+        assert chain.deepest == g.side2
 
     def test_nesting_and_cardinalities_directly(self):
         g = complete_bipartite(4, 4)
@@ -272,7 +272,8 @@ class TestBuildChain:
         level = ChainLevel({4: 0, 5: 1}, complete_bipartite(3, 3).n)
         assert level.dominators == VertexSet.from_ids([4, 5], level.n)
 
-    def test_levels_after_the_last_target_cost_no_search(self, monkeypatch):
+    @pytest.mark.parametrize("k", [50, 10**4])
+    def test_levels_after_the_last_target_cost_no_search(self, monkeypatch, k):
         calls = []
 
         def counted(*args):
@@ -281,26 +282,10 @@ class TestBuildChain:
 
         monkeypatch.setattr("moddeg.construction.minimal_dominating_set", counted)
         g = star(6, center_side=2)  # each level claims one leaf as a private
-        chain = build_chain(g, 50)
+        chain = build_chain(g, k)
         assert len(calls) == 6
-        assert chain.dominator_sizes() == [1] * 6 + [0] * 43
+        assert chain.dominator_sizes() == [1] * 6
         assert check_chain(g, chain) == []
-
-    def test_sizes_count_no_set_on_padded_levels(self, monkeypatch):
-        g = star(6, center_side=2)
-        chain = build_chain(g, 500)
-        counted = VertexSet.__len__
-        calls = []
-
-        def counting(self):
-            calls.append(self)
-            return counted(self)
-
-        monkeypatch.setattr(VertexSet, "__len__", counting)
-        sizes = chain.dominator_sizes()
-        assert calls == []
-        assert sizes == [1] * 6 + [0] * 493
-        assert sizes == [counted(level.dominators) for level in chain.levels]
 
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
@@ -318,6 +303,26 @@ class TestCheckChain:
         chain = build_chain(g, 3)
         bad = DominatingChain(k=3, levels=chain.levels[:1], remainder=chain.remainder)
         assert any("levels" in p for p in check_chain(g, bad))
+
+    def test_flags_empty_level(self):
+        g = star(6, center_side=2)
+        chain = build_chain(g, 7)
+        empty = ChainLevel({}, g.n)
+        bad = DominatingChain(
+            k=8, levels=(*chain.levels, empty), remainder=chain.remainder
+        )
+        assert check_chain(g, bad) == ["level 7: holds no dominator"]
+
+    def test_flags_short_chain_with_targets_left(self):
+        g = star(6, center_side=2)
+        chain = build_chain(g, 4)  # three leaves claimed, three left
+        assert len(chain.remainder) == 3
+        short = DominatingChain(k=5, levels=chain.levels, remainder=chain.remainder)
+        assert check_chain(g, short) == [
+            "expected 4 levels while targets remain, found 3"
+        ]
+        long = DominatingChain(k=3, levels=chain.levels, remainder=chain.remainder)
+        assert any("at most 2 levels" in p for p in check_chain(g, long))
 
     def test_flags_redundant_dominator(self):
         g = complete_bipartite(3, 3)

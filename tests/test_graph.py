@@ -115,8 +115,6 @@ class TestVertexSet:
             g.degrees_into(small, g.side2)
         with pytest.raises(ValueError, match="vertex set over 3 vertices"):
             g.degrees_into(g.side1, small)
-        with pytest.raises(ValueError, match="vertex set over 3 vertices"):
-            g.degrees_into_each(g.side1, g.side2, [small])
 
     @given(id_sets, st.data())
     def test_select_and_contains_each(self, a, data):
@@ -375,22 +373,6 @@ class TestPoolRows:
         for pool in self.pools(g):
             for s in (subset, VertexSet.from_ids([], g.n), g.vertices):
                 self.check(g, pool, s)
-
-    @given(bipartite_graphs(), id_sets, id_sets, id_sets)
-    def test_counts_into_each_subset_match_a_recount(self, g, inside, a, b):
-        inside = within(g, inside)
-        subsets = [within(g, a), within(g, b), g.vertices, VertexSet.from_ids([], g.n)]
-        for pool in self.pools(g):
-            ids, each = g.degrees_into_each(pool, inside, subsets)
-            assert ids.dtype == "int64"
-            assert ids.tolist() == pool.ids()
-            assert len(each) == len(subsets)
-            for subset, counts in zip(subsets, each):
-                assert counts.dtype == "int64"
-                members = set(inside & subset)
-                assert counts.tolist() == [
-                    len(set(g.neighbor_ids(v)) & members) for v in pool
-                ]
 
     def test_sole_neighbour_is_the_last_one(self):
         g = BipartiteGraph.from_edges(3, 2, [(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)])
