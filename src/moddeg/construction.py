@@ -124,49 +124,74 @@ def minimal_dominating_set(
     (largest-id) candidate neighbour, and only while none of its earlier
     candidate neighbours was kept.  So a candidate is kept exactly when it is
     the last candidate neighbour of a target that no kept candidate
-    dominates yet, and it is found with a few O(n + E) array passes over the
-    targets' rows plus one Python step per distinct last candidate: a check
-    of the targets it is last for and, if it is kept, one write per entry of
-    its row.  A candidate that is last for no target leaves without any
-    work, so O(|candidates| + E) in all.
+    dominates yet.  One array pass over the targets' rows finds each
+    target's last candidate, and one gather reads the rows of the distinct
+    last candidates, the only ones that can stay.  One Python step per last
+    candidate then checks the targets it is last for and, if it is kept,
+    marks the entries of its row, a slice of that gather.  The privates come
+    from the kept rows alone: a target met once in them has one kept
+    neighbour, and rows ascend, so the first such target in a row is its
+    dominator's smallest private.  A candidate that is last for no target
+    costs nothing, so O(n + E) in all.
 
     Raises :class:`DominationError` if some target has no candidate
     neighbour at all.
     """
+    n = graph.n
     ids, counts, last = graph.last_neighbors(targets, candidates)
-    if not counts.all():
+    # one C call, where .all() goes through Python: it tells on tiny graphs
+    if np.count_nonzero(counts) < len(counts):
         v = int(ids[counts.argmin()])
         raise DominationError(f"target {v} has no neighbour among candidates")
     if not ids.size:
-        return ChainLevel({}, graph.n)
+        return ChainLevel({}, n)
     # the targets grouped by their last candidate, ascending within a group:
     # one sort of the keys (last candidate, target), each below n**2
-    owners, grouped = np.divmod(np.sort(last * graph.n + ids), graph.n)
-    starts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()]
+    keys = last * n
+    keys += ids
+    keys.sort()
+    owners, grouped = np.divmod(keys, n)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(owners[1:], owners[:-1], out=fresh[1:])
+    starts = fresh.nonzero()[0]
+    lasts = owners[starts]
+    # the rows of the last candidates, the only candidates that can stay
+    offsets, rows = graph.neighbor_rows(lasts)
+    starts = starts.tolist()
+    groups = zip(starts, starts[1:] + [len(keys)])
+    bounds = offsets.tolist()
     grouped = grouped.tolist()
-    stops = starts[1:] + [len(grouped)]
+    # a view's slices read the rows without a Python list of all their entries
+    row_view = memoryview(rows)
 
-    kept = []
-    dominated = bytearray(graph.n)
-    for w, start, stop in zip(owners[starts].tolist(), starts, stops):
+    stays = bytearray(len(starts))  # one flag per last candidate
+    dominated = bytearray(n)
+    for i, (start, stop) in enumerate(groups):
         for v in grouped[start:stop]:
-            if not dominated[v]:  # w is v's last chance, so w stays
-                kept.append(w)
-                for u in graph.neighbor_ids(w):
+            if not dominated[v]:  # lasts[i] is v's last chance, so it stays
+                stays[i] = 1
+                for u in row_view[bounds[i]:bounds[i + 1]]:
                     dominated[u] = 1
                 break
-    dominators = VertexSet.from_ids(kept, graph.n)
 
-    # a target with one kept neighbour is private to it; in ascending order
-    # of the privates, the first private of a dominator is its smallest one
-    ids, counts, last = graph.last_neighbors(targets, dominators)
-    sole = counts == 1
-    private_of = {}
-    for w, v in zip(last[sole].tolist(), ids[sole].tolist()):
-        private_of.setdefault(w, v)
-    if len(private_of) != len(kept):
+    # a target with one kept neighbour is private to it, so the privates
+    # are the targets met once in the kept rows
+    stays = np.frombuffer(stays, dtype=bool)
+    tally = np.bincount(rows[stays.repeat(offsets[1:] - offsets[:-1])], minlength=n)
+    sole = tally[rows] == 1
+    sole &= targets.contains_each(rows)
+    # each kept row's smallest private, or n if it has none
+    firsts = np.minimum.reduceat(np.where(sole, rows, n), offsets[:-1])[stays]
+    owners = lasts[stays]
+    # the mapping is ordered by private, so a missing one, n, comes last
+    order = firsts.argsort()
+    privates = firsts[order].tolist()
+    if privates[-1] == n:
         raise ConstructionError("kept dominator without a private target")
-    return ChainLevel.with_dominators(private_of, dominators, graph.n)
+    private_of = dict(zip(owners[order].tolist(), privates))
+    dominators = VertexSet.from_ids(private_of, n)
+    return ChainLevel.with_dominators(private_of, dominators, n)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -388,10 +413,19 @@ def fix_degrees(
     if not chosen <= chain.deepest:
         raise ConstructionError("chosen dominators stray outside the deepest level")
     ids, degrees = graph.degrees_into(chosen, unit_targets)
+    depth = len(chain.levels)
+    # u takes the privates of the levels below (1 - d) mod k.  For a degree d
+    # below n and a modulus of n + depth or more, that count is 1 - d when
+    # d < 2 and at least the depth otherwise, so the modulus may stop at
+    # n + depth, inside int64
+    missing = (1 - degrees) % min(k, graph.n + depth)
+    order = missing.argsort()
+    # in ascending order of the count, level j goes to those after starts[j]
+    starts = missing[order].searchsorted(np.arange(1, depth + 1)).tolist()
+    ids = ids[order].tolist()
     patch = []
-    for u, d in zip(ids.tolist(), degrees.tolist()):
-        missing = (1 - d) % k
-        patch.extend(level.private_of[u] for level in chain.levels[:missing])
+    for level, start in zip(chain.levels, starts):
+        patch.extend(map(level.private_of.__getitem__, ids[start:]))
     return VertexSet.from_ids(patch, graph.n)
 
 

@@ -16,10 +16,11 @@ and ids outside [0, n) are refused when a set is built.
 
 This module alone knows both formats.  The rest of the package works through
 :class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (one row
-as a list), and :meth:`BipartiteGraph.degrees_into`,
-:meth:`BipartiteGraph.last_neighbors` and
-:meth:`BipartiteGraph.neighbors_within`, which read only the rows from a
-pool's first member to its last and return ``int64`` arrays aligned with
+as a list), :meth:`BipartiteGraph.neighbor_rows` (the rows of an id array,
+gathered as CSR offsets into one flat ``int64`` array), and
+:meth:`BipartiteGraph.degrees_into`, :meth:`BipartiteGraph.last_neighbors`
+and :meth:`BipartiteGraph.neighbors_within`, which read only the rows from
+a pool's first member to its last and return ``int64`` arrays aligned with
 the pool's ids: each member's neighbour count in a subset, from the second
 its largest neighbour there, and from the last its neighbours there, as
 CSR offsets into one flat array.
@@ -364,6 +365,22 @@ class BipartiteGraph:
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(member[keep], minlength=len(ids)), out=offsets[1:])
         return ids, offsets, entries[keep]
+
+    def neighbor_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``ids``, an integer array of vertex ids, in CSR form,
+        as two ``int64`` arrays ``(offsets, neighbors)``: the neighbours of
+        ``ids[i]`` are ``neighbors[offsets[i]:offsets[i + 1]]``, ascending.
+        Reads those rows only, with one gather."""
+        indptr, indices = self.adj
+        begin = indptr[ids]
+        lengths = indptr[ids + 1] - begin
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        lengths.cumsum(out=offsets[1:])
+        # an entry's position in indices: its row's begin plus its place in
+        # the row, which is its offset here minus the row's
+        positions = (begin - offsets[:-1]).repeat(lengths)
+        positions += np.arange(offsets[-1])
+        return offsets, indices[positions]
 
     def _own(self, vertex_set: VertexSet) -> np.ndarray:
         """The mask of ``vertex_set``, which must be drawn from this graph's

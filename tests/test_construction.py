@@ -214,6 +214,29 @@ class TestMinimalDominatingSet:
             assert list(level.private_of.items()) == list(want.items())
             assert level.dominators.isdisjoint(vset(g, [5]))
 
+    def test_smallest_private_is_not_the_forcing_target(self):
+        # target 1 has only 2 and so keeps it, but target 0, whose only kept
+        # neighbour is 2 as well, is the smaller private
+        g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 2)])
+        level = minimal_dominating_set(g, g.side1, g.side2)
+        assert level.private_of == {2: 0}
+
+    def test_reads_no_row_per_dominator(self, monkeypatch):
+        g = random_regularish(3000, 1500, 3, random.Random(11))
+
+        def refuse(self, v):
+            raise AssertionError(f"row of {v} read on its own")
+
+        monkeypatch.setattr(BipartiteGraph, "neighbor_ids", refuse)
+        chain = build_chain(g, 5)
+        monkeypatch.undo()
+        assert len(chain.levels) == 4
+        targets, candidates = g.side1, g.side2
+        for level in chain.levels:
+            want = reference_dominating_set(g, targets, candidates)
+            assert list(level.private_of.items()) == list(want.items())
+            targets, candidates = targets - level.privates, level.dominators
+
     @staticmethod
     def check_chain_levels(g, k):
         targets, candidates = g.side1, g.side2
@@ -621,11 +644,43 @@ class TestFixDegrees:
         patch = fix_degrees(g, chain, chain.deepest, vset(g))
         assert set(patch) == {0}
 
+    def test_modulus_between_n_and_n_plus_depth(self):
+        # seven levels share the centre 7; with all seven leaves as unit
+        # targets it misses (1 - 7) mod 20 = 14 >= 7 privates, not
+        # (1 - 7) mod 8 = 2 as a modulus capped at n would say
+        g = star(7, center_side=2)
+        chain = build_chain(g, 20)
+        assert len(chain.levels) == 7
+        patch = fix_degrees(g, chain, chain.deepest, g.side1)
+        assert patch == g.side1
+
     def test_rejects_chosen_outside_deepest(self):
         g = complete_bipartite(3, 3)
         chain = build_chain(g, 3)
         with pytest.raises(ConstructionError):
             fix_degrees(g, chain, vset(g, [4]), vset(g))
+
+    @given(
+        bipartite_graphs(max_side1=7, max_side2=7),
+        st.integers(2, 20) | st.just(10**20),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_dominator_patch(self, g, k, data):
+        # k runs past n + depth, where fix_degrees stops its modulus, and
+        # the unit targets may hold privates
+        chain = build_chain(g, k)
+
+        def subset(members):
+            members = members.ids()
+            return vset(g, data.draw(st.sets(st.sampled_from(members))) if members else ())
+
+        chosen, units = subset(chain.deepest), subset(g.side1)
+        want = set()
+        for u in chosen:
+            missing = (1 - len(set(g.neighbor_ids(u)) & set(units))) % k
+            want.update(level.private_of[u] for level in chain.levels[:missing])
+        assert set(fix_degrees(g, chain, chosen, units)) == want
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)

@@ -434,6 +434,39 @@ class TestNeighborsWithin:
         ]
 
 
+class TestNeighborRows:
+    """``neighbor_rows`` is checked against ``neighbor_ids`` row by row."""
+
+    @staticmethod
+    def rows(g, ids):
+        offsets, neighbors = g.neighbor_rows(np.array(ids, dtype=np.int64))
+        assert offsets.dtype == neighbors.dtype == "int64"
+        assert len(offsets) == len(ids) + 1
+        assert offsets[0] == 0 and offsets[-1] == len(neighbors)
+        return [neighbors[a:b].tolist() for a, b in zip(offsets, offsets[1:])]
+
+    @given(bipartite_graphs(), st.data())
+    def test_every_id_list_matches_neighbor_ids(self, g, data):
+        # any order, repeats allowed, both sides, and the empty list
+        ids = data.draw(st.lists(st.integers(0, g.n - 1), max_size=12))
+        for some in (ids, sorted(set(ids)), [], list(range(g.n))):
+            assert self.rows(g, some) == [g.neighbor_ids(v) for v in some]
+
+    def test_empty_id_array(self):
+        g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 3)])
+        offsets, neighbors = g.neighbor_rows(np.array([], dtype=np.int64))
+        assert (offsets.tolist(), neighbors.tolist()) == ([0], [])
+
+    def test_rows_are_gathered_in_the_order_asked(self):
+        g = BipartiteGraph.from_edges(
+            3, 3, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)]
+        )
+        offsets, neighbors = g.neighbor_rows(np.array([5, 0, 5], dtype=np.int64))
+        assert (offsets.tolist(), neighbors.tolist()) == (
+            [0, 2, 4, 6], [1, 2, 3, 4, 1, 2]
+        )
+
+
 class TestVerifyResidue:
     def test_single_edge_all_moduli(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])

@@ -2,9 +2,10 @@
 
 Every other module, test and demo works through ``VertexSet`` operations,
 ``BipartiteGraph.neighbor_ids`` (one row as a list),
-``BipartiteGraph.degrees_into``, ``BipartiteGraph.last_neighbors`` (a
-pool's ids with counts, and largest neighbours, as aligned int64 arrays)
-and ``BipartiteGraph.neighbors_within``
+``BipartiteGraph.neighbor_rows`` (the rows of an id array, as CSR offsets
+into one flat int64 array), ``BipartiteGraph.degrees_into``,
+``BipartiteGraph.last_neighbors`` (a pool's ids with counts, and largest
+neighbours, as aligned int64 arrays) and ``BipartiteGraph.neighbors_within``
 (a pool's ids with its neighbours in a subset, as CSR offsets into one flat
 int64 array), so a new graph representation has to change one file only.
 ``tests/test_graph.py`` tests that file and is exempt.
