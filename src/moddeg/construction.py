@@ -53,16 +53,6 @@ class ChainLevel:
     private_of: Mapping[int, int]
     n: int
 
-    @classmethod
-    def with_dominators(
-        cls, private_of: Mapping[int, int], dominators: VertexSet, n: int
-    ) -> "ChainLevel":
-        """The level of ``private_of``, whose keys are the members of
-        ``dominators``; the level keeps that set rather than build it again."""
-        level = cls(private_of, n)
-        vars(level)["dominators"] = dominators  # the cached property's slot
-        return level
-
     @cached_property
     def dominators(self) -> VertexSet:
         return VertexSet.from_ids(self.private_of, self.n)
@@ -117,8 +107,7 @@ def minimal_dominating_set(
     deterministic.  Returns the level mapping each kept dominator to its
     smallest-id private target (a target whose only kept neighbour it is);
     minimality guarantees one exists for every kept dominator.  The mapping
-    is ordered by private, and the level keeps the kept set as its
-    dominators.
+    is ordered by private.
 
     Cost: the removal order makes a target block a removal only at its last
     (largest-id) candidate neighbour, and only while none of its earlier
@@ -189,9 +178,7 @@ def minimal_dominating_set(
     privates = firsts[order].tolist()
     if privates[-1] == n:
         raise ConstructionError("kept dominator without a private target")
-    private_of = dict(zip(owners[order].tolist(), privates))
-    dominators = VertexSet.from_ids(private_of, n)
-    return ChainLevel.with_dominators(private_of, dominators, n)
+    return ChainLevel(dict(zip(owners[order].tolist(), privates)), n)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:

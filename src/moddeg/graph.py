@@ -34,6 +34,7 @@ line by line, and that reading names the first bad line.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,16 +83,12 @@ class VertexSet:
         self.mask = mask
 
     @classmethod
-    def from_ids(cls, ids: Iterable[int] | np.ndarray, n: int) -> "VertexSet":
-        """The set of ``ids`` among n vertices, given as any iterable or an
-        integer array; raises ``ValueError`` naming the first id outside
-        [0, n)."""
-        if isinstance(ids, np.ndarray):
-            ids = ids.astype(np.int64, copy=False)
-            low, high = (ids.min(), ids.max()) if ids.size else (0, -1)
-        else:
-            ids = list(ids)
-            low, high = (min(ids), max(ids)) if ids else (0, -1)
+    def from_ids(cls, ids: Iterable[int], n: int) -> "VertexSet":
+        """The set of ``ids`` among n vertices, given as any iterable of
+        ints, an integer array among them, which is iterated; raises
+        ``ValueError`` naming the first id outside [0, n)."""
+        ids = list(ids)
+        low, high = (min(ids), max(ids)) if ids else (0, -1)
         if low < 0 or high >= n:
             bad = next(v for v in ids if not 0 <= v < n)
             raise ValueError(f"vertex id {bad} outside [0, {n})")
@@ -234,10 +231,13 @@ class BipartiteGraph:
         n = n1 + n2
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
+            ids = map(operator.index, chain.from_iterable(edges))
             try:
-                flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+                flat = np.fromiter(ids, dtype=np.int64)
             except OverflowError:
                 raise GraphError(f"edge ids out of range for {n} vertices") from None
+            except TypeError:  # a float id, say, which int64 would truncate
+                raise GraphError("edges must be pairs of integer vertex ids") from None
             if len(flat) != 2 * len(edges):
                 raise GraphError("edges must be pairs of vertex ids")
             edges = flat.reshape(-1, 2)

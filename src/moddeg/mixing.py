@@ -266,27 +266,27 @@ def derandomize_subset(
     the larger branch is taken (ties drop the member, keeping the subset
     small).  The result therefore scores at least the a-priori expectation.
 
-    Cost: one pass over the scored vertices' rows and one over the
-    members', plus one Python step per (member, scored neighbour) pair.
+    Cost: one pass over the members' rows, plus one Python step per
+    (member, scored neighbour) pair; the state is two n-entry lists indexed
+    by vertex id.
     """
     if exponent < 1:
         raise ValueError(f"inclusion exponent must be >= 1, got {exponent}")
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
 
-    # per scored vertex, by its position in ids: undecided neighbours among
-    # the members and the residue they still need to supply
-    ids, counts = graph.degrees_into(scored, members)
-    undecided = counts.tolist()
-    needed = [1 % k] * len(undecided)
-    # rows of Python floats: indexing them is cheaper than indexing the array
-    table = residue_table(max(undecided, default=0), k, exponent).tolist()
-
-    # Scored neighbours of each member, ascending, as positions in ids, so a
-    # decision only touches the vertices it can influence.
+    # Scored neighbours of each member, ascending, so a decision only
+    # touches the vertices it can influence.
     member_ids, offsets, neighbours = graph.neighbors_within(members, scored)
-    touches = np.searchsorted(ids, neighbours).tolist()
+    touches = neighbours.tolist()
     offsets = offsets.tolist()
+    # per vertex id: undecided neighbours among the members and the residue
+    # they still need to supply
+    counts = np.bincount(neighbours, minlength=graph.n)
+    undecided = counts.tolist()
+    needed = [1 % k] * graph.n
+    # rows of Python floats: indexing them is cheaper than indexing the array
+    table = residue_table(int(counts.max()), k, exponent).tolist()
 
     kept = []
     for w, start, stop in zip(member_ids.tolist(), offsets, offsets[1:]):

@@ -14,9 +14,11 @@ every vertex of A its residue, and that problem splits over the connected
 components of the graph between A and C(A).
 
 So the search ranks every include/exclude assignment of the smaller side's
-``TOP_BITS`` highest-degree vertices by a size bound in one vectorized pass,
-visits them best first, and stops at the first whose bound cannot beat the
-incumbent.  When those vertices are the whole eligible smaller side, each
+``TOP_BITS`` highest-degree vertices by a size bound in one pass, visits
+them best first, and stops at the first whose bound cannot beat the
+incumbent.  The pass is vectorized, except that one over at most
+``_SMALL_PASS`` (assignment, larger-side vertex) pairs runs in plain
+Python.  When those vertices are the whole eligible smaller side, each
 assignment A decides it, so the pass ranks A by ``|A| + |C(A)|`` less the
 most candidate neighbours that any vertex of A must lose to reach its
 residue, and leaves out every A in which a vertex has fewer than r

@@ -284,11 +284,21 @@ class TestBuildChain:
             previous = level.dominators
         assert chain.remainder == g.side1 - claimed
 
-    def test_each_level_keeps_the_set_it_kept(self):
+    def test_each_level_keeps_the_set_it_kept(self, monkeypatch):
         g = random_regularish(60, 30, 3, random.Random(1))
-        # the kept set comes with the level, not rebuilt from private_of
-        assert "dominators" in vars(minimal_dominating_set(g, g.side1, g.side2))
-        for level in build_chain(g, 5).levels:
+        # each level builds its dominators and its privates once
+        built = []
+        from_ids = VertexSet.from_ids
+
+        def counted(ids, n):
+            built.append(n)
+            return from_ids(ids, n)
+
+        monkeypatch.setattr(VertexSet, "from_ids", staticmethod(counted))
+        chain = build_chain(g, 5)
+        monkeypatch.undo()
+        assert len(built) == 2 * len(chain.levels)
+        for level in chain.levels:
             assert level.dominators == VertexSet.from_ids(level.private_of, g.n)
             privates = list(level.private_of.values())
             assert privates == sorted(privates)

@@ -94,9 +94,16 @@ class TestVertexSet:
     @pytest.mark.parametrize("ids, first", [
         ([0, 4, 9, 5], 4), ([-1, 2], -1), ([3, 2**70], 2**70),
         (np.array([1, -3, 7]), -3), (np.array([0, 3, 4]), 4),
+        # named exactly, not by its wrapped int64 value
+        (np.array([2**63], dtype=np.uint64), 2**63),
     ])
     def test_ids_outside_the_graph_are_refused(self, ids, first):
         with pytest.raises(ValueError, match=rf"^vertex id {first} outside \[0, 4\)$"):
+            VertexSet.from_ids(ids, 4)
+
+    @pytest.mark.parametrize("ids", [[1.5], np.array([1.5]), np.array([1.0])])
+    def test_float_ids_are_refused_not_truncated(self, ids):
+        with pytest.raises(IndexError):
             VertexSet.from_ids(ids, 4)
 
     def test_out_of_range_id_is_refused_before_verification(self):
@@ -180,6 +187,18 @@ class TestFromEdges:
         with pytest.raises(GraphError) as caught:
             BipartiteGraph.from_edges(2, 2, given_edges)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5)], [(0.9, 1)], [(0, np.float64(1.0))], [(0, 1), 2],
+    ])
+    def test_non_integer_ids_are_refused_not_truncated(self, edges):
+        with pytest.raises(GraphError, match="^edges must be pairs of integer vertex ids$"):
+            BipartiteGraph.from_edges(1, 1, edges)
+
+    @pytest.mark.parametrize("big", [2**63, np.uint64(2**63), 2**70])
+    def test_ids_beyond_int64_are_refused(self, big):
+        with pytest.raises(GraphError, match="^edge ids out of range for 2 vertices$"):
+            BipartiteGraph.from_edges(1, 1, [(0, big)])
 
     @pytest.mark.parametrize("layout", ["int64", "swapped columns", "int32"])
     def test_caller_array_is_left_unchanged(self, layout):

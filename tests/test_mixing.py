@@ -316,14 +316,20 @@ class TestDerandomize:
     def test_proper_subsets_match_the_reference(self, g, k, exponent, data):
         """Members and scored vertices drawn as any subsets of side 2 and
         side 1, so some members may have no scored neighbour and some
-        scored vertices no member neighbour."""
+        scored vertices no member neighbour.  The derandomizer reads the
+        members' rows alone: no degree query over the scored vertices'."""
         members, scored = (
             VertexSet.from_ids(data.draw(st.sets(st.sampled_from(side.ids()))), g.n)
             for side in (g.side2, g.side1)
         )
-        assert mixing.derandomize_subset(
-            g, members, scored, k, exponent
-        ) == touches_derandomize(g, members, scored, k, exponent)
+        want = touches_derandomize(g, members, scored, k, exponent)
+
+        def refuse(*args):
+            raise AssertionError("degrees_into was called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BipartiteGraph, "degrees_into", refuse)
+            assert mixing.derandomize_subset(g, members, scored, k, exponent) == want
 
     def test_isolated_members_and_scored_vertices(self):
         # 0 ~ 4, 5; 1 ~ 4; 2 ~ 5, 6; 3 ~ 7.  Member 6 has no scored
