@@ -5,12 +5,12 @@ Given a validated bipartite graph with minimum degree >= 1 and a modulus k,
 a subgraph in which every degree is congruent to 1 mod k.  It works in three
 stages:
 
-1. Build a chain of up to k-1 nested minimal dominating sets of side 1
-   inside side 2, stopping when no side-1 target is left, each paired with
-   private neighbours that certify minimality (:func:`build_chain`).  The
-   first level alone already yields an induced matching, which is a valid
-   answer for every k.
-2. Split the leftover side-1 vertices by their degree into the deepest
+1. Build a chain of up to k-1 nested minimal dominating sets of the
+   dominated side (the larger side, side 1 on a tie) inside the other side,
+   stopping when no target is left, each paired with private neighbours that
+   certify minimality (:func:`build_chain`).  The first level alone already
+   yields an induced matching, which is a valid answer for every k.
+2. Split the leftover dominated vertices by their degree into the deepest
    dominating set: vertices with at least k^3 such neighbours are handled by
    half-density sampling, the rest by sampling at the dyadic density matched
    to the largest degree bucket.
@@ -43,9 +43,9 @@ class DominationError(ConstructionError):
 
 @dataclass(frozen=True)
 class ChainLevel:
-    """One level of the chain: dominators on side 2 matched to their privates.
+    """One level of the chain: dominators matched to their privates.
 
-    ``private_of[w]`` is the side-1 vertex whose only dominator-neighbour at
+    ``private_of[w]`` is the dominated vertex whose only dominator-neighbour at
     this level is ``w``; its keys are the dominators, its values the privates,
     and together they induce a matching.  ``n`` is the graph's vertex count.
     """
@@ -66,12 +66,12 @@ class ChainLevel:
 class DominatingChain:
     """Nested minimal dominating sets with disjoint private-neighbour sets.
 
-    Level i dominates the side-1 vertices not already claimed as privates by
-    levels before it; ``remainder`` is side 1 minus every private set.
-    A chain holds only the levels that were built: at most k-1 of them,
-    each with at least one dominator, and exactly k-1 whenever the
-    remainder is non-empty.  A shorter chain stopped because side 1 ran
-    out of targets.
+    Level i dominates the vertices of the dominated side not already claimed
+    as privates by levels before it; ``remainder`` is the dominated side
+    minus every private set.  A chain holds only the levels that were built:
+    at most k-1 of them, each with at least one dominator, and exactly k-1
+    whenever the remainder is non-empty.  A shorter chain stopped because
+    the dominated side ran out of targets.
     """
 
     k: int
@@ -89,12 +89,21 @@ class DominatingChain:
 
 
 # The size analysis classifies a run as route 1 when the first dominator
-# level times k is at least MATCHING_SHARE of side 1, else as route 2 when
-# the high-degree targets are at least HEAVY_SHARE of side 1, else route 3.
-# The shares sit just below (1/3, 2/3).  The classification is report only:
-# all applicable routes always run.
+# level times k is at least MATCHING_SHARE of the dominated side, else as
+# route 2 when the high-degree targets are at least HEAVY_SHARE of it, else
+# route 3.  The shares sit just below (1/3, 2/3).  The classification is
+# report only: all applicable routes always run.
 MATCHING_SHARE = Fraction(1, 3) - Fraction(1, 2000)
 HEAVY_SHARE = Fraction(2, 3) - Fraction(1, 1000)
+
+
+def _sides(graph: BipartiteGraph) -> tuple[VertexSet, VertexSet]:
+    """The dominated side, the larger one (side 1 on a tie), and the
+    candidate side.  Dominating the larger side is what makes the chain's
+    answer about n/k vertices, not n1/k."""
+    if graph.n2 > graph.n1:
+        return graph.side2, graph.side1
+    return graph.side1, graph.side2
 
 
 def minimal_dominating_set(
@@ -184,18 +193,17 @@ def minimal_dominating_set(
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
     """Build up to k-1 nested levels of minimal dominating sets with privates.
 
-    Level 1 dominates all of side 1 from within side 2; each later level
-    dominates the side-1 vertices not yet claimed as privates, drawing its
-    dominators from the previous level.  Every remaining target keeps a
-    neighbour in the previous level by that level's domination, so the
-    recursion never fails on a validated graph.  Each level claims at least
-    one private, so the chain stops after at most n1 levels once no target
-    is left, whatever k is.
+    Level 1 dominates all of the dominated side, the larger side (side 1 on
+    a tie), from within the other side; each later level dominates the
+    dominated vertices not yet claimed as privates, drawing its dominators
+    from the previous level.  Every remaining target keeps a neighbour in
+    the previous level by that level's domination, so the recursion never
+    fails on a validated graph.  Each level claims at least one private, so
+    the chain stops once no target is left, whatever k is.
     """
     if k < 2:
         raise ValueError(f"modulus must be >= 2, got {k}")
-    targets = graph.side1
-    candidates = graph.side2
+    targets, candidates = _sides(graph)
     levels = []
     while targets and len(levels) < k - 1:
         level = minimal_dominating_set(graph, targets, candidates)
@@ -213,7 +221,7 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
     non-empty levels, nesting, equal dominator/private cardinalities,
     disjointness of private sets, the private-neighbour property,
     domination of each level's targets, minimality of each level, and the
-    remainder identity and lower bound.
+    remainder identity and lower bound, all on the dominated side.
     """
     problems = []
     if len(chain.levels) > chain.k - 1:
@@ -225,7 +233,7 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
             f"expected {chain.k - 1} levels while targets remain, "
             f"found {len(chain.levels)}"
         )
-    previous = graph.side2
+    dominated, previous = _sides(graph)
     claimed = VertexSet.from_ids([], graph.n)
     for idx, level in enumerate(chain.levels, start=1):
         doms, privs = level.dominators, level.privates
@@ -235,11 +243,11 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
             problems.append(f"level {idx}: dominators not nested in previous level")
         if len(privs) != len(doms):
             problems.append(f"level {idx}: private count differs from dominator count")
-        if not privs <= graph.side1:
-            problems.append(f"level {idx}: privates stray off side 1")
+        if not privs <= dominated:
+            problems.append(f"level {idx}: privates stray off the dominated side")
         if not privs.isdisjoint(claimed):
             problems.append(f"level {idx}: privates overlap an earlier level")
-        targets = graph.side1 - claimed
+        targets = dominated - claimed
         dom_ids = set(doms)
         ids, degrees = graph.degrees_into(targets, doms)
         target_ids = set(ids.tolist())
@@ -264,11 +272,11 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
                 )
         claimed = claimed | privs
         previous = doms
-    if chain.remainder != graph.side1 - claimed:
-        problems.append("remainder differs from side 1 minus all private sets")
+    if chain.remainder != dominated - claimed:
+        problems.append("remainder differs from the dominated side minus its privates")
     if chain.levels:
         first = len(chain.levels[0].dominators)
-        if len(chain.remainder) < graph.n1 - (chain.k - 1) * first:
+        if len(chain.remainder) < len(dominated) - (chain.k - 1) * first:
             problems.append("remainder smaller than the level-1 lower bound")
     return problems
 
@@ -506,9 +514,10 @@ class ConstructionTrace:
 
 def _classify(graph: BipartiteGraph, chain: DominatingChain, heavy: VertexSet) -> int:
     first = len(chain.levels[0].dominators)
-    if Fraction(first * chain.k) >= MATCHING_SHARE * graph.n1:
+    size = len(_sides(graph)[0])
+    if Fraction(first * chain.k) >= MATCHING_SHARE * size:
         return 1
-    if Fraction(len(heavy)) >= HEAVY_SHARE * graph.n1:
+    if Fraction(len(heavy)) >= HEAVY_SHARE * size:
         return 2
     return 3
 

@@ -55,10 +55,6 @@ class NotBipartiteError(GraphError):
 class IsolatedVertexError(GraphError):
     """A vertex with no incident edge; all algorithms here require degree >= 1."""
 
-    def __init__(self, vertex: int):
-        super().__init__(f"vertex {vertex} has no incident edge")
-        self.vertex = vertex
-
 
 class DuplicateEdgeWarning(UserWarning):
     """An edge appeared more than once in the input and was deduplicated."""
@@ -85,15 +81,17 @@ class VertexSet:
     @classmethod
     def from_ids(cls, ids: Iterable[int], n: int) -> "VertexSet":
         """The set of ``ids`` among n vertices, given as any iterable of
-        ints, an integer array among them, which is iterated; raises
-        ``ValueError`` naming the first id outside [0, n)."""
+        ints (bools are 1 and 0), an integer array among them, which is
+        iterated; raises ``ValueError`` naming the first id outside [0, n)."""
         ids = list(ids)
         low, high = (min(ids), max(ids)) if ids else (0, -1)
         if low < 0 or high >= n:
             bad = next(v for v in ids if not 0 <= v < n)
             raise ValueError(f"vertex id {bad} outside [0, {n})")
+        index = np.asarray(ids) if ids else np.empty(0, dtype=np.int64)
         mask = np.zeros(n, dtype=bool)
-        mask[ids] = True
+        # a bool index would read as a mask; a float one raises IndexError
+        mask[index.view(np.uint8) if index.dtype == bool else index] = True
         return cls(mask)
 
     def _other(self, other: "VertexSet") -> np.ndarray:
@@ -284,7 +282,8 @@ class BipartiteGraph:
         degrees[:n1] = np.bincount(left, minlength=n1)
         degrees[n1:] = np.bincount(right, minlength=n2)
         if not degrees.all():
-            raise IsolatedVertexError(int(np.argmin(degrees)))
+            v = np.argmin(degrees)
+            raise IsolatedVertexError(f"vertex {v} has no incident edge")
         np.cumsum(degrees, out=degrees)
         # side-2 rows need the transposed order, sorted in the key buffer
         np.multiply(right, n1, out=key)
@@ -555,14 +554,15 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
 
     Permissive format (``permissive=True``): every line is an edge ``u v``
     over non-negative integer ids of any size; the bipartition is computed by
-    2-coloring and ids are compacted.  Raises :class:`NotBipartiteError` if
-    no 2-coloring exists (a self-loop counts as non-bipartite structure and is
-    a hard error).
+    2-coloring, each component's class holding its smallest id going to side
+    1, and ids are compacted, side 1 first.  Raises
+    :class:`NotBipartiteError` if no 2-coloring exists (a self-loop counts as
+    non-bipartite structure and is a hard error).
 
-    In both formats the result is relabeled so side 1 is the side of larger
-    cardinality; on ties, the side containing the smallest original vertex id
-    stays side 1.  Duplicate edges are dropped with a warning.  Errors name
-    the first bad line and vertices by their ids in the document.
+    A labeled document keeps its declared sides and ids.  Either side may be
+    the larger one: the construction picks the side it dominates itself.
+    Duplicate edges are dropped with a warning.  Errors name the first bad
+    line and vertices by their ids in the document.
     """
     if permissive:
         return _parse_permissive(_content_lines(text))
@@ -578,14 +578,7 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
         # the tokenizer declined
         rows = np.array(_read_labeled_lines(text), dtype=np.int64)
     (n1, n2), edges = rows[0].tolist(), rows[1:]
-    if n2 <= n1:
-        return BipartiteGraph.from_edges(n1, n2, edges)
-    # relabel so side 1 is the larger side: old side 2 becomes 0..n2-1
-    try:
-        return BipartiteGraph.from_edges(n2, n1, edges[:, ::-1] + (-n1, n2))
-    except IsolatedVertexError as exc:  # name the vertex as the document does
-        v = exc.vertex
-        raise IsolatedVertexError(v + n1 if v < n2 else v - n2) from None
+    return BipartiteGraph.from_edges(n1, n2, edges)
 
 
 def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
@@ -634,9 +627,7 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
         adjacency.setdefault(v, set()).add(u)
 
     # 2-color each component; the class holding the component's smallest id
-    # goes to group A so the split is deterministic.  Components start in
-    # ascending order, so group A holds the smallest id and keeps side 1 on
-    # a tie.
+    # goes to side 1 so the split is deterministic
     color: dict[int, int] = {}
     group_a: set[int] = set()
     group_b: set[int] = set()
@@ -660,8 +651,6 @@ def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
         group_a.update(component[0])
         group_b.update(component[1])
 
-    if len(group_b) > len(group_a):
-        group_a, group_b = group_b, group_a
     side1 = sorted(group_a)
     side2 = sorted(group_b)
     relabel = {v: i for i, v in enumerate(side1)}

@@ -74,3 +74,10 @@ def random_graph(rng: random.Random, max_side1: int = 10, max_side2: int = 10):
         (u, n1 + w) for u in range(n1) for w in range(n2) if rows[u] >> w & 1
     ]
     return BipartiteGraph.from_edges(n1, n2, edges)
+
+
+def transpose(g: BipartiteGraph) -> BipartiteGraph:
+    """``g`` with its sides swapped: side-1 vertex u becomes n2 + u and
+    side-2 vertex w becomes w - n1, so each side keeps its id order."""
+    edges = [(w - g.n1, g.n2 + u) for u, w in g.edges()]
+    return BipartiteGraph.from_edges(g.n2, g.n1, edges)

@@ -13,6 +13,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,7 +242,6 @@ class TestFind:
         assert code == 2
 
     def test_isolated_vertex_named_as_in_the_file(self, capsys, monkeypatch):
-        # the sides are swapped after reading; vertex 4 is the isolated one
         monkeypatch.setattr("sys.stdin", io.StringIO("2 3\n0 2\n1 3\n0 3\n"))
         code, out, err = run(["find", "--k", "2"], capsys)
         assert (code, out, err) == (2, "", "error: vertex 4 has no incident edge\n")
@@ -253,6 +253,43 @@ class TestFind:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+def recount(document: str, ids: list[int], modulus: int) -> bool:
+    """Whether ``ids`` is a non-empty set inducing degrees of 1 mod
+    ``modulus``, recounted from the document's own header and edge lines."""
+    rows = np.loadtxt(io.StringIO(document), dtype=np.int64, comments="#", ndmin=2)
+    (n1, n2), edges = rows[0], rows[1:]
+    member = np.zeros(n1 + n2, dtype=bool)
+    member[ids] = True
+    inside = edges[member[edges].all(axis=1)]
+    degrees = np.bincount(inside.ravel(), minlength=n1 + n2)
+    return bool(ids) and bool((degrees[ids] % modulus == 1).all())
+
+
+class TestDocumentIds:
+    """A labeled document with more side-2 than side-1 vertices keeps its
+    sides, so the printed ids are the document's."""
+
+    @pytest.mark.parametrize("n1, n2, seed", [(2, 6, 0), (3, 7, 1), (4, 9, 2),
+                                              (5, 8, 3), (3, 9, 4), (5, 6, 5)])
+    def test_printed_ids_verify_on_the_document(self, n1, n2, seed, tmp_path, capsys):
+        path = tmp_path / "doc.txt"
+        assert main(["gen", "--kind", "random", "--seed", str(seed),
+                     "--param", f"n1={n1}", "--param", f"n2={n2}",
+                     "--param", "p=0.3", "--out", str(path)]) == 0
+        document = path.read_text()
+        for k in (2, 3, 4):
+            for mode in ("sampled", "derandomized"):
+                code, out, _ = run(["find", "--input", str(path), "--k", str(k),
+                                    "--mode", mode, "--json"], capsys)
+                assert code == 0
+                assert recount(document, json.loads(out)["vertices"], k)
+            code, out, _ = run(
+                ["oracle", "--input", str(path), "-q", str(k), "--json"], capsys
+            )
+            assert code == 0
+            assert recount(document, json.loads(out)["witness"], k)
 
 
 class TestByteIdentity:

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bipartite_graphs
+from conftest import bipartite_graphs, transpose
 from moddeg import (
     BipartiteGraph,
     ChainLevel,
@@ -239,7 +239,10 @@ class TestMinimalDominatingSet:
 
     @staticmethod
     def check_chain_levels(g, k):
+        # the chain dominates the larger side, side 1 on a tie
         targets, candidates = g.side1, g.side2
+        if g.n2 > g.n1:
+            targets, candidates = candidates, targets
         for level in build_chain(g, k).levels:
             want = reference_dominating_set(g, targets, candidates)
             assert list(level.private_of.items()) == list(want.items())
@@ -811,6 +814,47 @@ class TestFindModOneSubgraph:
         rich = trace.to_dict(verbose=True)
         assert rich["sets"]["subgraph"] == [1, 2, 3, 4, 5, 6]
         assert rich["sets"]["chosen"] == [6]
+
+
+def mirror(g: BipartiteGraph, vertices: VertexSet) -> VertexSet:
+    """``vertices`` of ``g`` named as in ``transpose(g)``."""
+    return VertexSet.from_ids(
+        [v + g.n2 if v < g.n1 else v - g.n1 for v in vertices], g.n
+    )
+
+
+class TestOrientation:
+    """The chain dominates the larger side, whichever side number it has."""
+
+    @given(
+        bipartite_graphs(max_side1=8, max_side2=8),
+        st.integers(2, 5),
+        st.sampled_from(["sampled", "derandomized"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_transpose_returns_the_mirror(self, g, k, mode):
+        assume(g.n1 != g.n2)
+        vertices, trace = find_mod_one_subgraph(g, k, mode=mode)
+        flipped, flipped_trace = find_mod_one_subgraph(transpose(g), k, mode=mode)
+        assert flipped == mirror(g, vertices)
+        for field in ("case", "analysis_case", "dominator_sizes",
+                      "expected_scores", "achieved_scores"):
+            assert getattr(flipped_trace, field) == getattr(trace, field)
+
+    def test_star_keeps_its_leaves_from_either_side(self):
+        for center_side in (1, 2):
+            vertices, _ = find_mod_one_subgraph(
+                star(56, center_side=center_side), 3, mode="derandomized"
+            )
+            assert len(vertices) >= 56
+
+    @pytest.mark.parametrize("k, size", [(3, 29), (5, 27)])
+    def test_complete_graph_order_ignores_side_numbers(self, k, size):
+        for a, b in ((30, 6), (6, 30)):
+            vertices, _ = find_mod_one_subgraph(
+                complete_bipartite(a, b), k, mode="derandomized"
+            )
+            assert len(vertices) == size
 
 
 class TestLargeInstance:

@@ -101,6 +101,13 @@ class TestVertexSet:
         with pytest.raises(ValueError, match=rf"^vertex id {first} outside \[0, 4\)$"):
             VertexSet.from_ids(ids, 4)
 
+    @pytest.mark.parametrize("ids, want", [
+        ([True, False, True, False], [0, 1]), ([True], [1]),
+        (np.array([True, False, True]), [0, 1]),
+    ])
+    def test_bools_are_the_ids_one_and_zero_not_a_mask(self, ids, want):
+        assert VertexSet.from_ids(ids, 4).ids() == want
+
     @pytest.mark.parametrize("ids", [[1.5], np.array([1.5]), np.array([1.0])])
     def test_float_ids_are_refused_not_truncated(self, ids):
         with pytest.raises(IndexError):
@@ -550,10 +557,10 @@ class TestParseLabeled:
         with pytest.raises(GraphError):
             parse_graph("2 2\n0 1\n")  # v must be >= n1
 
-    def test_relabels_larger_side_first(self):
+    def test_keeps_the_declared_sides(self):
         g = parse_graph("1 3\n0 1\n0 2\n0 3\n")
-        assert (g.n1, g.n2) == (3, 1)
-        assert len(g.neighbor_ids(3)) == 3  # the old center is now the side-2 hub
+        assert (g.n1, g.n2) == (1, 3)
+        assert g.neighbor_ids(0) == [1, 2, 3]  # the center stays the side-1 hub
 
     def test_duplicate_edge_warns(self):
         with pytest.warns(DuplicateEdgeWarning):
@@ -578,9 +585,9 @@ class TestParsePermissive:
         with pytest.raises(GraphError):
             parse_graph("-1 2\n", permissive=True)
 
-    def test_larger_side_becomes_side_1(self):
+    def test_side_of_smallest_id_is_side_1_whatever_its_size(self):
         g = parse_graph("0 1\n0 2\n0 3\n", permissive=True)
-        assert (g.n1, g.n2) == (3, 1)
+        assert (g.n1, g.n2) == (1, 3)
 
     def test_tie_goes_to_side_of_smallest_id(self):
         # components: 0-9 and 5-6; sides {0, 5} vs {9, 6}: tie on size,
@@ -659,8 +666,6 @@ class TestParseMessages:
          "line 3: expected two integers, got '1 x'"),
         ("3 2\n0 3\n1 3\n0 4\n", False, IsolatedVertexError,
          "vertex 2 has no incident edge"),
-        # the sides are swapped after reading, but the message names the
-        # vertex as the file does
         ("2 3\n0 2\n1 3\n0 3\n", False, IsolatedVertexError,
          "vertex 4 has no incident edge"),
         ("2 3\n0 2\n0 3\n0 4\n", False, IsolatedVertexError,
@@ -699,7 +704,8 @@ class TestParseMessages:
         # a comment ends at any line break, so the edge after it counts
         ("2 2\n0 2\n1 3\n# c\u20281 2\n", False,
          BipartiteGraph.from_edges(2, 2, [(0, 2), (1, 3), (1, 2)])),
-        ("1 3\n0 1\n0 2\n0 3\n", False, STAR),
+        ("1 3\n0 1\n0 2\n0 3\n", False,
+         BipartiteGraph.from_edges(1, 3, [(0, 1), (0, 2), (0, 3)])),
         ("10 20\n11 21\n", True, TWO_EDGES),
         ("# c\r\n3 7\r\n\r\n7 3\r\n7 5\r\n0 7\r\n", True, STAR),
         ("0 99999999999999999999\n", True, BipartiteGraph.from_edges(1, 1, [(0, 1)])),

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bipartite_graphs
+from conftest import bipartite_graphs, transpose
 from moddeg import (
     ENUMERATION_LIMIT,
     BipartiteGraph,
@@ -272,11 +272,6 @@ def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
         (perm1[u], g.n1 + perm2[w - g.n1]) for u, w in g.edges()
     ]
     return BipartiteGraph.from_edges(g.n1, g.n2, edges)
-
-
-def transpose(g: BipartiteGraph) -> BipartiteGraph:
-    edges = [(w - g.n1, g.n2 + u) for u, w in g.edges()]
-    return BipartiteGraph.from_edges(g.n2, g.n1, edges)
 
 
 class TestInvariance:
