@@ -368,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an instance too large to allocate, say
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -84,6 +84,18 @@ class TestGen:
         assert err.startswith("error: --param: ") and err.count("\n") == 1
         assert f"argument '{param.split('=')[0]}'" in err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    def test_out_of_memory_is_one_error_line(self, message, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(generators, "generate", too_large)
+        code, out, err = run(["gen", "--kind", "matching", "--param", "pairs=3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert message in err
+
     def test_omitted_seed_is_zero(self, capsys):
         args = ["gen", "--kind", "random",
                 "--param", "n1=4", "--param", "n2=4", "--param", "p=0.5"]
@@ -328,6 +340,11 @@ class TestByteIdentity:
             "0830cdbf01fcb6beac992e57faef8c78736c47a3e94d3b0eabfcf4f69fc285c7",
         "800,80,40":
             "f1d625bae7cc132dc7875cde9273993e0b19eed59ec429c26d983c766a42d3c2",
+        # the documents of the benchmark's sparse-find and dense-find
+        "20000,10000,3":
+            "a80586e043ea1f6fff3db1e338d5f6d7efb6b2aa614de3e6ca7bf21feb6ffd95",
+        "8000,800,40":
+            "e4df3edeb803285ef62a752cf2f920c157e2d36a2a2eb20d175da4bdeb9e95d4",
     }
     GEN_RANDOM = "7a1a795ed864774690d03163d6d258a7a6436a72b7492a464589367e790b7658"
 
@@ -338,7 +355,7 @@ class TestByteIdentity:
     @pytest.fixture(scope="class")
     def regularish(self, tmp_path_factory):
         paths = {}
-        for sizes in {key[0] for key in self.FIND}:
+        for sizes in {key[0] for key in self.FIND} | set(self.GEN):
             n1, n2, degree = sizes.split(",")
             paths[sizes] = tmp_path_factory.mktemp("regularish") / "graph.txt"
             with contextlib.redirect_stdout(io.StringIO()):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enumeration import enumerate_connected_bipartite
 from moddeg.generators import (
@@ -104,6 +106,16 @@ def reference_regularish(n1, n2, degree, rng):
 
 @pytest.mark.parametrize("n1, n2, degree", [
     (1, 1, 1), (2, 30, 1), (30, 2, 2), (50, 40, 3), (300, 30, 12),
+    # rows of random.sample's set branch: repeats in most rows, heavy
+    # rejection (1025 takes 11 bits), none (1024 takes 10)
+    (300, 300, 30), (200, 1025, 3), (200, 1024, 3),
+    # either side of random.sample's set-size threshold: 85 pool, 86 set;
+    # at degree 5 the threshold is 21, at degree 6 it is 85
+    (50, 85, 6), (50, 86, 6), (50, 22, 5), (50, 22, 6),
+    # rows over several of the blocks the generator reads its words in: many
+    # rows of the set branch, many of the pool branch, then one row of each
+    # longer than a block
+    (5000, 300, 30), (6000, 60, 12), (1, 200000, 100000), (1, 300000, 70000),
 ])
 def test_regularish_keeps_its_draws(n1, n2, degree):
     for seed in range(3):
@@ -112,6 +124,72 @@ def test_regularish_keeps_its_draws(n1, n2, degree):
             n1, n2, degree, same
         )
         assert rng.getstate() == same.getstate()
+
+
+def reference_random(n1, n2, p, rng):
+    """The generator's draws as lists: one ``random()`` per pair in ascending
+    (u, w) order, then one ``randrange`` per isolated side-1 vertex, then one
+    per side-2 vertex still isolated, each in ascending id order."""
+    present = [[rng.random() < p for _ in range(n2)] for _ in range(n1)]
+    for u in range(n1):
+        if not any(present[u]):
+            present[u][rng.randrange(n2)] = True
+    for w in range(n2):
+        if not any(present[u][w] for u in range(n1)):
+            present[rng.randrange(n1)][w] = True
+    edges = [(u, n1 + w) for u in range(n1) for w in range(n2) if present[u][w]]
+    return BipartiteGraph.from_edges(n1, n2, edges)
+
+
+def assert_random_keeps_its_draws(n1, n2, p, seed):
+    rng, same = random.Random(seed), random.Random(seed)
+    assert random_bipartite(n1, n2, p, rng) == reference_random(n1, n2, p, same)
+    assert rng.getstate() == same.getstate()
+
+
+@pytest.mark.parametrize("n1, n2, p", [
+    (1, 1, 0.5), (5, 3, 0.0), (3, 4, 1.0), (16, 10, 0.25), (200, 100, 0.25),
+    (30, 3, 0.02),  # repairs on both sides
+])
+def test_random_keeps_its_draws(n1, n2, p):
+    for seed in range(3):
+        assert_random_keeps_its_draws(n1, n2, p, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n1=st.integers(1, 40),
+    n2=st.integers(1, 40),
+    p=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_keeps_its_draws_at_any_p(n1, n2, p, seed):
+    assert_random_keeps_its_draws(n1, n2, p, seed)
+
+
+class TestGenerateMemory:
+    """The traced peak of a random generator stays at most the one of the
+    per-call code, which built its draws as lists: 19.6 MiB for
+    ``random_bipartite(2000, 1000, 0.01)`` and 15.8 MiB for
+    ``random_regularish(8000, 800, 40)``."""
+
+    @staticmethod
+    def peak_mib(build, *args) -> float:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / 2**20
+
+    def test_random_peak(self):
+        assert self.peak_mib(random_bipartite, 2000, 1000, 0.01, random.Random(1)) <= 19.6
+
+    def test_regularish_peak(self):
+        assert self.peak_mib(random_regularish, 8000, 800, 40, random.Random(1)) <= 15.8
 
 
 class TestDispatch:
@@ -138,6 +216,8 @@ class TestDispatch:
         ("star", {"leaves": 2, "center_side": 0}, ValueError),
         ("star", {"leaves": 0}, ValueError),
         ("regularish", {"n1": 3, "n2": 2, "degree": 3}, ValueError),
+        ("regularish", {"n1": 1, "n2": 2**32, "degree": 1}, ValueError),
+        ("regularish", {"n1": 2**32, "n2": 1, "degree": 1}, ValueError),
         ("matching", {"pairs": 0}, GraphError),
     ])
     def test_check_params_holds_the_range_rules(self, kind, params, error):
