@@ -29,7 +29,8 @@ A labeled document is read by C-level ``bytes`` scans and one NumPy pass
 over the positions of its blank bytes when it is plain ASCII digits, blanks,
 comments and "\\n" or "\\r\\n" line ends, which is every document ``moddeg
 gen`` writes; any other document, and any document with an error, is read
-line by line, and that reading names the first bad line.
+line by line, and that reading names the first bad line.  A permissive
+document is read line by line and 2-coloured by array component labels.
 """
 
 from __future__ import annotations
@@ -553,11 +554,11 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
     ``n1 <= v < n1+n2``.  Lines starting with ``#`` are comments.
 
     Permissive format (``permissive=True``): every line is an edge ``u v``
-    over non-negative integer ids of any size; the bipartition is computed by
-    2-coloring, each component's class holding its smallest id going to side
-    1, and ids are compacted, side 1 first.  Raises
-    :class:`NotBipartiteError` if no 2-coloring exists (a self-loop counts as
-    non-bipartite structure and is a hard error).
+    over non-negative integer ids of any size.  Component labels on the
+    bipartite double cover 2-colour it, the class holding each component's
+    smallest id going to side 1, and ids are compacted, side 1 first.  A
+    self-loop or an odd cycle ("the component of vertex v has an odd cycle",
+    v its smallest id) raises :class:`NotBipartiteError`.
 
     A labeled document keeps its declared sides and ids.  Either side may be
     the larger one: the construction picks the side it dominates itself.
@@ -611,52 +612,51 @@ def _read_labeled_lines(text: str) -> list[tuple[int, int]]:
     return rows
 
 
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest vertex in each of n vertices' component, for the edges
+    ``a[i]``–``b[i]``, by min-label hooking and pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 1982): O(log n) rounds of array passes."""
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        ends_a, ends_b = label[a], label[b]
+        if np.array_equal(ends_a, ends_b):
+            return label
+        np.minimum.at(label, ends_a, ends_b)
+        np.minimum.at(label, ends_b, ends_a)
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
 def _parse_permissive(lines: list[tuple[int, str]]) -> BipartiteGraph:
     if not lines:
         raise GraphError("empty document: no edges")
-    raw_edges = []
-    adjacency: dict[int, set[int]] = {}
+    rows = []
     for lineno, line in lines:
         u, v = _parse_int_pair(line, lineno)
         if u == v:
             raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id")
-        raw_edges.append((u, v))
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-
-    # 2-color each component; the class holding the component's smallest id
-    # goes to side 1 so the split is deterministic
-    color: dict[int, int] = {}
-    group_a: set[int] = set()
-    group_b: set[int] = set()
-    for start in sorted(adjacency):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        component = {0: [start], 1: []}
-        while queue:
-            x = queue.pop()
-            for y in adjacency[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    component[color[y]].append(y)
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    raise NotBipartiteError(
-                        f"vertices {x} and {y} are adjacent but forced to one side"
-                    )
-        group_a.update(component[0])
-        group_b.update(component[1])
-
-    side1 = sorted(group_a)
-    side2 = sorted(group_b)
-    relabel = {v: i for i, v in enumerate(side1)}
-    relabel.update({v: len(side1) + i for i, v in enumerate(side2)})
-    edges = [(relabel[u], relabel[v]) for u, v in raw_edges]
-    return BipartiteGraph.from_edges(len(side1), len(side2), edges)
+        rows.append((u, v))
+    try:
+        pairs = np.array(rows, dtype=np.int64)
+    except OverflowError:  # Python ints: a float64 array would merge ids
+        pairs = np.array(rows, dtype=object)
+    # the document's ids in ascending order, and each end's place among them
+    ids, ends = np.unique(pairs, return_inverse=True)
+    m = len(ids)
+    # double cover: v has copies v and m + v, and u–w joins u to m + w, w to m + u
+    u, w = ends.T
+    first, second = _component_labels(2 * m, np.r_[u, w], np.r_[w, u] + m).reshape(2, m)
+    if (first == second).any():
+        v = ids[np.argmax(first == second)]
+        raise NotBipartiteError(f"the component of vertex {v} has an odd cycle")
+    # side 1, numbered first: first copies carrying their component's smallest id
+    side2 = first > second
+    n1 = m - int(np.count_nonzero(side2))
+    compact = np.argsort(np.argsort(side2, kind="stable"))
+    return BipartiteGraph.from_edges(n1, m - n1, compact[ends])
 
 
 def serialize_graph(graph: BipartiteGraph) -> str:

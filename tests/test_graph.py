@@ -6,9 +6,10 @@ import random
 import tracemalloc
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bipartite_graphs
 from moddeg import graph as graph_module
@@ -601,6 +602,157 @@ class TestParsePermissive:
         with pytest.raises(GraphError):
             parse_graph("", permissive=True)
 
+    def test_ids_beyond_int64_stay_apart(self):
+        # as float64, both ids would read as 2**63: one vertex, a self-loop
+        g = parse_graph("9223372036854775808 9223372036854775809\n", permissive=True)
+        assert g == BipartiteGraph.from_edges(1, 1, [(0, 1)])
+
+    def test_read_peak(self):
+        """The traced peak of reading the headerless edge list of
+        ``regularish(20000, 10000, 3)`` (gen seed 1), a 0.66 MiB document.
+        The bound lies between the 39.0 MiB of a dict-of-sets 2-colouring
+        and the 24 MiB of the array labels."""
+        g = random_regularish(20000, 10000, 3, random.Random(1))
+        text = serialize_graph(g).split("\n", 1)[1]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            parse_graph(text, permissive=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 31 * 2**20
+
+
+def reference_permissive(text: str) -> BipartiteGraph:
+    """The permissive reading as a dict-of-sets BFS 2-colouring: each
+    component's class holding its smallest id is side 1, and ids are
+    compacted, side 1 first, each side in ascending id order."""
+    lines = graph_module._content_lines(text)
+    if not lines:
+        raise GraphError("empty document: no edges")
+    raw_edges = []
+    adjacency: dict[int, set[int]] = {}
+    for lineno, line in lines:
+        u, v = graph_module._parse_int_pair(line, lineno)
+        if u == v:
+            raise NotBipartiteError(f"line {lineno}: self-loop at vertex {u}")
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: negative vertex id")
+        raw_edges.append((u, v))
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    color: dict[int, int] = {}
+    for start in sorted(adjacency):
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in adjacency[x]:
+                if y not in color:
+                    color[y] = 1 - color[x]
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    raise NotBipartiteError(f"{x} and {y} are forced to one side")
+    side1 = sorted(v for v in color if color[v] == 0)
+    side2 = sorted(v for v in color if color[v] == 1)
+    relabel = {v: i for i, v in enumerate(side1 + side2)}
+    edges = [(relabel[u], relabel[v]) for u, v in raw_edges]
+    return BipartiteGraph.from_edges(len(side1), len(side2), edges)
+
+
+# small ids, and ids about 2**63, 2**64 and 10**22, beyond int64
+document_ids = st.one_of(
+    st.integers(0, 20),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(2**64 - 3, 2**64 + 3),
+    st.integers(10**22, 10**22 + 3),
+)
+
+
+@st.composite
+def permissive_documents(draw, bipartite: bool) -> str:
+    """A headerless edge list over a few ids, duplicate lines and reversed
+    pairs included.  With ``bipartite``, each id gets a drawn class and only
+    pairs across classes are kept, so components and class sizes vary."""
+    pool = draw(st.lists(document_ids, min_size=2, max_size=10, unique=True))
+    side = {v: draw(st.booleans()) for v in pool}
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(
+        lambda pair: pair[0] != pair[1]
+        and (not bipartite or side[pair[0]] != side[pair[1]])
+    )
+    assume(len(set(side.values())) == 2 or not bipartite)
+    edges = draw(st.lists(pairs, min_size=1, max_size=16))
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+class TestPermissiveReference:
+    """The array reading of a permissive document against the BFS
+    2-colouring it replaced."""
+
+    @staticmethod
+    def outcome(read, text):
+        """``read(text)`` or its error class, and the warnings it gave."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = read(text)
+            except GraphError as exc:
+                result = type(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    @settings(max_examples=300, deadline=None)
+    @given(permissive_documents(bipartite=True))
+    def test_bipartite_documents_read_as_the_reference(self, text):
+        got, got_warnings = self.outcome(lambda t: parse_graph(t, permissive=True), text)
+        want, want_warnings = self.outcome(reference_permissive, text)
+        assert isinstance(got, BipartiteGraph) and got == want
+        assert got_warnings == want_warnings and len(got_warnings) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(permissive_documents(bipartite=False))
+    def test_any_document_reads_or_fails_as_the_reference(self, text):
+        got, _ = self.outcome(lambda t: parse_graph(t, permissive=True), text)
+        want, _ = self.outcome(reference_permissive, text)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "3 1\n1 3\n3 1\n2 3\n",  # duplicate lines, both orders: one warning
+        "18446744073709551616 3\n3 100000000000000000000000\n7 5\n",
+    ])
+    def test_fixed_documents_read_as_the_reference(self, text):
+        got = self.outcome(lambda t: parse_graph(t, permissive=True), text)
+        assert got == self.outcome(reference_permissive, text)
+
+
+class TestComponentLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    )))
+    def test_labels_are_each_components_smallest_vertex(self, case):
+        n, edges = case  # repeated edges, self-loops and unused ids included
+        a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        want = list(range(n))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        for component in nx.connected_components(nxg):
+            for v in component:
+                want[v] = min(component)
+        assert graph_module._component_labels(n, a, b).tolist() == want
+
+    def test_long_path_in_random_order(self):
+        # deeper than any recursive walk could go
+        n = 200_000
+        order = np.random.default_rng(1).permutation(n)
+        labels = graph_module._component_labels(n, order[:-1], order[1:])
+        assert not labels.any()
+
 
 class TestParseMessages:
     """Every way a document is refused, with its exact message, and the
@@ -679,7 +831,10 @@ class TestParseMessages:
         ("-1 2\n", True, GraphError, "line 1: negative vertex id"),
         ("1 2\n2 -5\n", True, GraphError, "line 2: negative vertex id"),
         ("0 1\n1 2\n2 0\n", True, NotBipartiteError,
-         "vertices 2 and 1 are adjacent but forced to one side"),
+         "the component of vertex 0 has an odd cycle"),
+        # the smallest id of the first odd component, not of the document
+        ("0 1\n5 6\n6 7\n7 5\n", True, NotBipartiteError,
+         "the component of vertex 5 has an odd cycle"),
     ])
     def test_rejected_with_exact_message(self, text, permissive, error, message):
         with pytest.raises(error) as caught:
