@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import bipartite_graphs
 from moddeg import graph as graph_module
 from moddeg.cli import main
+from moddeg.construction import find_mod_one_subgraph
 from moddeg.generators import complete_bipartite, random_regularish
 from moddeg.graph import (
     BipartiteGraph,
@@ -321,26 +322,33 @@ class TestBuildMemory:
         return g, np.column_stack((left, right))[order]
 
     @staticmethod
-    def peak_ratio(build, *args) -> float:
-        """The traced peak of ``build(*args)`` over its CSR's bytes."""
+    def peak_ratio(call, g: BipartiteGraph | None = None) -> float:
+        """The traced peak of ``call()`` over the bytes of the CSR of ``g``,
+        or of the graph ``call`` returns."""
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            g = build(*args)
+            result = call()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peak / sum(array.nbytes for array in g.adj)
+        return peak / sum(array.nbytes for array in (g or result).adj)
 
     def test_from_edges_peak(self, graph_and_edges):
         g, edges = graph_and_edges
         assert len(edges) > 100_000
-        assert self.peak_ratio(BipartiteGraph.from_edges, g.n1, g.n2, edges) <= 2.0
+        assert self.peak_ratio(lambda: BipartiteGraph.from_edges(g.n1, g.n2, edges)) <= 2.0
 
     def test_parse_graph_peak(self, graph_and_edges):
         g, _ = graph_and_edges
-        assert self.peak_ratio(parse_graph, serialize_graph(g)) <= 3.5
+        text = serialize_graph(g)
+        assert self.peak_ratio(lambda: parse_graph(text)) <= 2.0
+
+    @pytest.mark.parametrize("mode", ["sampled", "derandomized"])
+    def test_construction_peak(self, graph_and_edges, mode):
+        g, _ = graph_and_edges
+        assert self.peak_ratio(lambda: find_mod_one_subgraph(g, 3, mode=mode), g) <= 3.0
 
 
 class TestDegreeQueries:
@@ -566,6 +574,17 @@ class TestParseLabeled:
     def test_duplicate_edge_warns(self):
         with pytest.warns(DuplicateEdgeWarning):
             parse_graph("1 1\n0 1\n0 1\n")
+
+    @pytest.mark.parametrize("read", [
+        lambda: BipartiteGraph.from_edges(1, 1, [(0, 1), (0, 1)]),
+        lambda: parse_graph("1 1\n0 1\n0 1\n"),
+        lambda: parse_graph("1 1\n0 1\n+0 1\n"),
+        lambda: parse_graph("0 1\n1 0\n", permissive=True),
+    ], ids=["from_edges", "scan", "per-line-reading", "permissive"])
+    def test_duplicate_warning_names_the_caller(self, read):
+        with pytest.warns(DuplicateEdgeWarning, match="deduplicated 1 repeated") as record:
+            read()
+        assert record[0].filename == __file__
 
 
 class TestParsePermissive:
@@ -1001,6 +1020,48 @@ class TestParseMessages:
         tokens = graph_module._tokenize(text)
         assert tokens is not None
         assert tokens.tolist() == self.read_by_lines(text)
+
+    @st.composite
+    def _labeled_documents(draw) -> str:
+        """A graph's labeled document in the scan's grammar, every vertex on
+        an edge, with comment and blank lines (some longer than a block)
+        around its content lines, "\n" and "\r\n" line ends, and maybe no
+        final one.  Content lines get drawn blanks and leading zeros."""
+        blanks = TestParseMessages._blanks
+        n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cover = [(i % n1, n1 + i % n2) for i in range(max(n1, n2))]
+        extra = st.tuples(st.integers(0, n1 - 1), st.integers(n1, n1 + n2 - 1))
+        pairs = [(n1, n2)] + draw(st.permutations(cover + draw(st.lists(extra, max_size=6))))
+        filler = st.lists(st.one_of(
+            TestParseMessages._comment_line, blanks,
+            st.just("# a comment longer than any block"),
+        ), max_size=3)
+        lines = []
+        for pair in pairs:
+            ids = [str(x).zfill(draw(st.integers(1, 18))) for x in pair]
+            separator = draw(st.text(" \t", min_size=1, max_size=3))
+            lines += draw(filler) + [draw(blanks) + separator.join(ids) + draw(blanks)]
+        lines += draw(filler)
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                             min_size=len(lines), max_size=len(lines)))
+        text = "".join(map("".join, zip(lines, ends)))
+        return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_labeled_documents(), st.integers(1, 8))
+    def test_block_boundaries_read_as_the_whole_document(self, text, block):
+        header, *edges = self.read_by_lines(text)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateEdgeWarning)
+            patch.setattr(graph_module, "_BLOCK_CHARS", block)
+            self.refuse_the_line_reading(patch)
+            assert parse_graph(text) == BipartiteGraph.from_edges(*header, edges)
+
+    def test_bad_line_in_the_last_block_is_named(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 4)
+        text = "2 2\n0 2\n# c\n1 3\n\n1 x\n"
+        with pytest.raises(GraphError, match=r"^line 6: expected two integers, got '1 x'$"):
+            parse_graph(text)
 
 
 class TestSerialize:
