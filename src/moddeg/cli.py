@@ -283,7 +283,10 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
     one usage error rather than a batch of failure records.
     """
     with open(path, encoding="utf-8") as handle:
-        file_spec = json.load(handle)
+        try:
+            file_spec = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(file_spec, dict):
         raise ValueError(f"{path}: a batch spec must be a JSON object")
     _reject_unknown_keys(file_spec, SPEC_KEYS, path)

@@ -15,8 +15,8 @@ stages:
    half-density sampling, the rest by sampling at the dyadic density matched
    to the largest degree bucket.
 3. For whichever subset got sampled (or fixed by derandomization), repair the
-   degrees of the kept side-2 vertices with their private neighbours and keep
-   the largest candidate that passes verification.
+   degrees of the kept dominators, on either side, with their private
+   neighbours and keep the largest candidate that passes verification.
 """
 
 from __future__ import annotations

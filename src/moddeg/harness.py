@@ -27,7 +27,7 @@ from .graph import ResidueSpec, verify_residue
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BatchRecord:
     """One instance's outcome: the graph's shape, the winning route, and the
     verified subgraph order.
@@ -35,20 +35,21 @@ class BatchRecord:
     ``optimum`` is the exact maximum order when the oracle ran for this
     instance (None otherwise; ``optimum_exact`` is False when the oracle hit
     its node budget and returned a lower bound).  A failed instance keeps its
-    error string and zeroed fields so the batch can continue around it.
+    error string and leaves the graph and run fields at their zero defaults,
+    so the batch can continue around it.
     ``elapsed_s`` is timing-only and never enters the canonical report bytes.
     """
 
     index: int
     descriptor: str
     k: int
-    n1: int
-    n2: int
-    edge_count: int
-    order: int
-    case: int
-    analysis_case: int
-    verified: bool
+    n1: int = 0
+    n2: int = 0
+    edge_count: int = 0
+    order: int = 0
+    case: int = 0
+    analysis_case: int = 0
+    verified: bool = False
     gen_seed: int
     run_seed: int
     elapsed_s: float
@@ -94,26 +95,11 @@ class BatchRecord:
         }
 
 
-CSV_FIELDS = [
-    "index",
-    "descriptor",
-    "k",
-    "n1",
-    "n2",
-    "n",
-    "edges",
-    "order",
-    "ratio",
-    "scaled_ratio",
-    "case",
-    "analysis_case",
-    "verified",
-    "optimum",
-    "optimum_exact",
-    "gen_seed",
-    "run_seed",
-    "error",
-]
+# the keys of BatchRecord.to_dict, in order, read off a blank record
+CSV_FIELDS = list(
+    BatchRecord(index=0, descriptor="", k=2, gen_seed=0, run_seed=0, elapsed_s=0.0)
+    .to_dict()
+)
 
 
 @dataclass(frozen=True)
@@ -263,13 +249,6 @@ def run_batch(
                     index=index,
                     descriptor=generators.describe(kind, params, gen_seed),
                     k=k,
-                    n1=0,
-                    n2=0,
-                    edge_count=0,
-                    order=0,
-                    case=0,
-                    analysis_case=0,
-                    verified=False,
                     gen_seed=gen_seed,
                     run_seed=run_seed,
                     elapsed_s=time.perf_counter() - t0,

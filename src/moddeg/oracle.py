@@ -16,9 +16,8 @@ components of the graph between A and C(A).
 So the search ranks every include/exclude assignment of the smaller side's
 ``TOP_BITS`` highest-degree vertices by a size bound in one pass, visits
 them best first, and stops at the first whose bound cannot beat the
-incumbent.  The pass is vectorized, except that one over at most
-``_SMALL_PASS`` (assignment, larger-side vertex) pairs runs in plain
-Python.  When those vertices are the whole eligible smaller side, each
+incumbent.  The pass is vectorized with NumPy, one array entry per
+assignment.  When those vertices are the whole eligible smaller side, each
 assignment A decides it, so the pass ranks A by ``|A| + |C(A)|`` less the
 most candidate neighbours that any vertex of A must lose to reach its
 residue, and leaves out every A in which a vertex has fewer than r
@@ -46,9 +45,6 @@ ENUMERATION_LIMIT = 20
 # the smaller-side vertices ranked in one pass: its arrays hold the
 # 2**TOP_BITS assignments, and none holds more
 TOP_BITS = 16
-# up to this many (assignment, larger-side vertex) pairs the pass runs in
-# plain Python, which beats NumPy's per-call cost on tiny graphs
-_SMALL_PASS = 512
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def exact_max_order(
         search.run()
     except _OutOfBudget:
         timed_out = True
-    witness = _witness(graph, search.best_mask)
+    witness = VertexSet.from_ids(search.best_ids, graph.n)
     if not verify_residue(graph, witness, spec):
         raise AssertionError("search returned an invalid witness")
     return OracleResult(
@@ -160,7 +156,8 @@ class _Search:
         order = [x for x in order if len(nbrs[x]) >= self.r]
         self.top, self.rest = order[:TOP_BITS], order[TOP_BITS:]
         self.large = list(large)
-        self.best = self.best_mask = 0
+        self.best = 0
+        self.best_ids: list[int] = []
         self.explored = self.bound_prunes = self.infeasible_prunes = 0
         self.improvements = 0
 
@@ -203,7 +200,9 @@ class _Search:
         """Every assignment of the ``h`` top vertices as the key
         ``bound << h | mask``, in descending order: by bound, then by mask.
         ``pairs`` holds each larger-side vertex's top neighbours as a mask
-        and its undecided neighbours.
+        and its undecided neighbours.  One NumPy pass computes them: every
+        array holds one entry per assignment, and the larger-side vertices
+        with equal pairs are added in one step.
 
         When the top vertices are the whole eligible smaller side, an
         assignment decides it, its live larger-side vertices are exactly its
@@ -215,21 +214,6 @@ class _Search:
         r, q, size = self.r, self.q, 1 << h
         base = len(self.rest)
         decided = not self.rest
-        if size * len(pairs) <= _SMALL_PASS:
-            keys = []
-            for m in range(size):
-                live = [row for row, u in pairs if (r - (m & row).bit_count()) % q <= u]
-                bound = base + m.bit_count() + len(live)
-                if decided:
-                    ks = [
-                        sum(row >> i & 1 for row in live) for i in range(h) if m >> i & 1
-                    ]
-                    if ks and min(ks) < r:
-                        continue
-                    bound -= max([(k - r) % q for k in ks], default=0)
-                keys.append(bound << h | m)
-            keys.sort(reverse=True)
-            return keys
         masks = np.arange(size, dtype=np.int64)
         # bits[i] is 1 on the assignments that include top vertex i
         bits = np.zeros((h, size), np.uint8)
@@ -388,7 +372,7 @@ class _Search:
             total += len(got)
             picked += got
         self.best = total
-        self.best_mask = sum(1 << v for v in chosen + picked)
+        self.best_ids = chosen + picked
         self.improvements += 1
 
     def _solve_component(
@@ -483,11 +467,6 @@ class _Search:
             self.infeasible_prunes += infeasible_prunes
 
 
-def _witness(graph: BipartiteGraph, mask: int) -> VertexSet:
-    """The vertex set of the search's int bitmask ``mask``."""
-    return VertexSet.from_ids([v for v in range(graph.n) if mask >> v & 1], graph.n)
-
-
 def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
     """Check every one of the 2**n vertex subsets; vectorized with numpy.
 
@@ -509,8 +488,8 @@ def enumerate_max_order(graph: BipartiteGraph, spec: ResidueSpec) -> OracleResul
         valid &= (included == 0) | (deg % q == r)
     sizes = np.bitwise_count(masks)
     sizes[~valid] = 0
-    pick = int(np.argmax(sizes))
-    witness = _witness(graph, int(masks[pick]))
+    pick = int(masks[np.argmax(sizes)])
+    witness = VertexSet.from_ids([v for v in range(n) if pick >> v & 1], n)
     if not verify_residue(graph, witness, spec):
         raise AssertionError("enumeration returned an invalid witness")
     return OracleResult(

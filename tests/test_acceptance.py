@@ -97,7 +97,7 @@ def test_criterion_02_chain_invariants(residue_corpus):
             failures.append((index, problems))
         # the bound named by the criterion, recomputed in place
         first = len(chain.levels[0].dominators)
-        if len(chain.remainder) < g.n1 - (k - 1) * first:
+        if len(chain.remainder) < max(g.n1, g.n2) - (k - 1) * first:
             failures.append((index, "remainder lower bound"))
     ok = not failures
     record_acceptance(

@@ -548,6 +548,15 @@ class TestBench:
         assert code == 2
         assert err == f'error: {path}: "k" is required\n'
 
+    @pytest.mark.parametrize("body", [b"{}}", b'{"k": 2, "instances": \xff}'],
+                             ids=["not-json", "not-utf-8"])
+    def test_unreadable_spec_names_the_file(self, body, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(body)
+        code, out, err = run(["bench", "--spec", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_missing_instances(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"k": 2})
         code, _, err = run(["bench", "--spec", str(path)], capsys)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,6 @@ from conftest import bipartite_graphs, transpose
 from moddeg import (
     ENUMERATION_LIMIT,
     BipartiteGraph,
-    OracleResult,
     ResidueSpec,
     VertexSet,
     enumerate_max_order,
@@ -64,8 +62,7 @@ FROZEN_RANDOM_OPTIMA = [
     17, 15, 15, 15, 16, 16, 16, 16, 15, 14, 14, 14, 14, 17, 16, 14, 15, 15, 14, 14,
 ]
 
-# (explored, bound_prunes, infeasible_prunes, improvements) of the search;
-# K(8,8) is ranked by the NumPy pass, the others in plain Python
+# (explored, bound_prunes, infeasible_prunes, improvements) of the search
 FROZEN_COUNTERS = [
     (cycle6, (1, 2), (5, 1, 0, 1)),
     (lambda: complete_bipartite(3, 3), (0, 2), (5, 1, 1, 1)),
@@ -203,17 +200,33 @@ def disjoint_union(parts) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n1, n2, edges)
 
 
-def search_both_ways(g: BipartiteGraph, spec: ResidueSpec) -> OracleResult:
-    """Run :func:`exact_max_order` with every ranking pass in plain Python,
-    then with every pass in NumPy, and check that both take the same steps."""
-    results = []
-    for small_pass in (10**9, 0):
-        with mock.patch.object(oracle, "_SMALL_PASS", small_pass):
-            results.append(exact_max_order(g, spec))
-    plain, vectorized = results
-    assert plain.exact and verify_residue(g, plain.witness, spec).ok
-    assert plain == vectorized  # order, witness and all four counters
-    return plain
+def check_ranking(g: BipartiteGraph, spec: ResidueSpec) -> None:
+    """Assert that ``_Search._ranked`` gives, for ``g`` and ``spec``, the keys
+    of a plain-Python reference that ranks one assignment at a time."""
+    search = oracle._Search(g, spec, 1)
+    r, q, top, rest = search.r, search.q, search.top, search.rest
+    h = len(top)
+    rows = {y: 0 for y in search.large}
+    und = {y: 0 for y in search.large}
+    for i, x in enumerate(top):
+        for y in search.nbrs[x]:
+            rows[y] |= 1 << i
+    for x in rest:
+        for y in search.nbrs[x]:
+            und[y] += 1
+    pairs = [(rows[y], und[y]) for y in search.large]
+    keys = []
+    for m in range(1 << h):
+        live = [row for row, u in pairs if (r - (m & row).bit_count()) % q <= u]
+        bound = len(rest) + m.bit_count() + len(live)
+        if not rest:
+            ks = [sum(row >> i & 1 for row in live) for i in range(h) if m >> i & 1]
+            if ks and min(ks) < r:
+                continue
+            bound -= max([(k - r) % q for k in ks], default=0)
+        keys.append(bound << h | m)
+    keys.sort(reverse=True)
+    assert search._ranked(h, pairs) == keys
 
 
 class TestDisjointUnion:
@@ -248,23 +261,25 @@ class TestDisjointUnion:
             for r in range(q):
                 spec = ResidueSpec(r, q)
                 expected = sum(enumerate_max_order(g, spec).order for g in parts)
-                assert search_both_ways(union, spec).order == expected
+                result = exact_max_order(union, spec)
+                assert result.exact and result.order == expected
+                assert verify_residue(union, result.witness, spec).ok
+                check_ranking(union, spec)
 
 
-class TestRankingPasses:
-    """The plain-Python pass and the NumPy pass rank the assignments with
-    identical keys, so the search takes the same steps after either."""
+class TestRankingPass:
+    """The NumPy ranking pass gives the keys of a plain-Python reference
+    that ranks one assignment at a time."""
 
     @given(bipartite_graphs(max_side1=8, max_side2=8))
     @settings(max_examples=60, deadline=None)
-    def test_same_search_after_either_pass(self, g):
+    def test_same_keys_as_the_reference(self, g):
         swapped = transpose(g)
         for q in range(2, 6):
             for r in range(q):
                 spec = ResidueSpec(r, q)
-                naive = enumerate_max_order(g, spec).order
-                assert search_both_ways(g, spec).order == naive
-                assert search_both_ways(swapped, spec).order == naive
+                check_ranking(g, spec)
+                check_ranking(swapped, spec)
 
 
 def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
