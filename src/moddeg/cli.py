@@ -277,7 +277,8 @@ def _cmd_gen(args) -> int:
 
 
 def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
-    """Read a batch spec file and return it with its instance list.
+    """Read a batch spec file and return the run keys it names, as keyword
+    arguments of :func:`harness.run_batch`, with its instance list.
 
     The schema is checked before any instance runs, so a malformed file is
     one usage error rather than a batch of failure records.
@@ -317,7 +318,7 @@ def _load_spec(path: str) -> tuple[dict, list[tuple[str, dict]]]:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         specs.extend([(kind, params)] * count)
-    return file_spec, specs
+    return {key: value for key, value in file_spec.items() if key != "instances"}, specs
 
 
 def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
@@ -329,15 +330,11 @@ def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> N
 
 
 def _cmd_bench(args) -> int:
-    file_spec, specs = _load_spec(args.spec)
-    report = harness.run_batch(
-        specs,
-        file_spec["k"],
-        mode=file_spec.get("mode", "sampled"),
-        seed=file_spec.get("seed", 0),
-        retries=file_spec.get("retries", 16),
-        oracle_max_n=args.oracle_max_n,
-    )
+    run, specs = _load_spec(args.spec)
+    try:  # run_batch checks the run keys before any instance runs
+        report = harness.run_batch(specs, **run, oracle_max_n=args.oracle_max_n)
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
     if args.format == "json":
         text = report.to_json(include_timing=args.timing)
     else:

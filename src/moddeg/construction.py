@@ -221,7 +221,8 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
     non-empty levels, nesting, equal dominator/private cardinalities,
     disjointness of private sets, the private-neighbour property,
     domination of each level's targets, minimality of each level, and the
-    remainder identity and lower bound, all on the dominated side.
+    remainder identity and lower bound, all on the dominated side.  Each
+    level is read with one neighbour query, over its targets and privates.
     """
     problems = []
     if len(chain.levels) > chain.k - 1:
@@ -248,23 +249,21 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
         if not privs.isdisjoint(claimed):
             problems.append(f"level {idx}: privates overlap an earlier level")
         targets = dominated - claimed
-        dom_ids = set(doms)
-        ids, degrees = graph.degrees_into(targets, doms)
-        target_ids = set(ids.tolist())
-
-        def dominators_of(v: int) -> list[int]:
-            return [u for u in graph.neighbor_ids(v) if u in dom_ids]
-
-        for w, v in level.private_of.items():
-            if v not in target_ids:
+        # privs too: a tampered level's private need not be a live target
+        ids, counts, last = graph.last_neighbors(targets | privs, doms)
+        sole = np.where(counts == 1, last, -1)  # the only dominator, or -1
+        at = np.searchsorted(ids, list(level.private_of.values()))
+        for (w, v), only in zip(level.private_of.items(), sole[at].tolist()):
+            if v not in targets:
                 problems.append(f"level {idx}: private {v} was not a live target")
-            if dominators_of(v) != [w]:
+            if only != w:
                 problems.append(
                     f"level {idx}: vertex {v} is not private to dominator {w}"
                 )
-        for v in ids[degrees == 0].tolist():
+        live = targets.contains_each(ids)
+        for v in ids[live & (counts == 0)].tolist():
             problems.append(f"level {idx}: target {v} left undominated")
-        witnessed = {dominators_of(v)[0] for v in ids[degrees == 1].tolist()}
+        witnessed = set(sole[live].tolist())
         for w in doms:
             if w not in witnessed:
                 problems.append(

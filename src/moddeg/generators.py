@@ -156,10 +156,12 @@ def _sample_rows(rng: random.Random, rows: int, n: int, degree: int) -> np.ndarr
     read = 0  # words of the block that the finished rows read
     while done < out.size:
         state = rng.getstate()
-        # the words the last block's rows left come first; a row reads
-        # fewer than 2.5 * degree words on average
+        # the words the last block's rows left come first, then 4 fresh
+        # words per value still wanted (a value reads under 2.5 on average),
+        # capped at _BLOCK_WORDS: at least 3 * degree, and as many as carried
         carried = words.size - read
-        fresh = _words(rng, max(_BLOCK_WORDS, 3 * degree, carried))
+        block = min(_BLOCK_WORDS, 4 * (out.size - done))
+        fresh = _words(rng, max(block, 3 * degree, carried))
         words = np.concatenate((words[read:], fresh))
         if pool:
             values, read = _pool_rows(words.tolist(), draws, out.size - done)

@@ -583,17 +583,21 @@ class TestBench:
                                 "params": {"pairs": 2}}]},
         {"k": 2, "instances": []},
         {"k": 2, "instances": [{"kind": ["star"]}]},
+        {"k": 1, "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
+        {"k": 2, "mode": 3,
+         "instances": [{"kind": "matching", "params": {"pairs": 2}}]},
     ], ids=["instance-without-kind", "bad-mode-in-spec", "retries-zero",
             "spec-not-an-object", "unknown-kind", "count-not-an-integer",
             "count-zero", "params-not-an-object", "instances-not-a-list",
             "k-not-an-integer", "unknown-generator-param", "unknown-spec-key",
-            "unknown-block-key", "instances-empty", "kind-not-a-string"])
+            "unknown-block-key", "instances-empty", "kind-not-a-string",
+            "k-one", "mode-not-a-string"])
     def test_bad_run_parameters_are_usage_errors(self, spec, tmp_path, capsys):
         path = write_spec(tmp_path, spec)
         code, out, err = run(["bench", "--spec", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_empty_side_in_a_spec_is_a_usage_error(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"k": 2, "instances": [

@@ -333,6 +333,101 @@ class TestBuildChain:
         assert check_chain(g, build_chain(g, k)) == []
 
 
+def reference_check_chain(g: BipartiteGraph, chain: DominatingChain) -> list[str]:
+    """:func:`check_chain` reading each vertex's dominators off its own row:
+    a closure filters ``neighbor_ids`` through the level's dominators."""
+    problems = []
+    if len(chain.levels) > chain.k - 1:
+        problems.append(
+            f"expected at most {chain.k - 1} levels, found {len(chain.levels)}"
+        )
+    elif chain.remainder and len(chain.levels) < chain.k - 1:
+        problems.append(
+            f"expected {chain.k - 1} levels while targets remain, "
+            f"found {len(chain.levels)}"
+        )
+    dominated, previous = (g.side2, g.side1) if g.n2 > g.n1 else (g.side1, g.side2)
+    claimed = vset(g)
+    for idx, level in enumerate(chain.levels, start=1):
+        doms, privs = level.dominators, level.privates
+        if not doms:
+            problems.append(f"level {idx}: holds no dominator")
+        if not doms <= previous:
+            problems.append(f"level {idx}: dominators not nested in previous level")
+        if len(privs) != len(doms):
+            problems.append(f"level {idx}: private count differs from dominator count")
+        if not privs <= dominated:
+            problems.append(f"level {idx}: privates stray off the dominated side")
+        if not privs.isdisjoint(claimed):
+            problems.append(f"level {idx}: privates overlap an earlier level")
+        targets = dominated - claimed
+        dom_ids = set(doms)
+        target_ids = set(targets)
+
+        def dominators_of(v: int) -> list[int]:
+            return [u for u in g.neighbor_ids(v) if u in dom_ids]
+
+        for w, v in level.private_of.items():
+            if v not in target_ids:
+                problems.append(f"level {idx}: private {v} was not a live target")
+            if dominators_of(v) != [w]:
+                problems.append(
+                    f"level {idx}: vertex {v} is not private to dominator {w}"
+                )
+        for v in sorted(target_ids):
+            if not dominators_of(v):
+                problems.append(f"level {idx}: target {v} left undominated")
+        witnessed = {
+            dominators_of(v)[0] for v in target_ids if len(dominators_of(v)) == 1
+        }
+        for w in doms:
+            if w not in witnessed:
+                problems.append(
+                    f"level {idx}: dominator {w} is redundant (no private target)"
+                )
+        claimed = claimed | privs
+        previous = doms
+    if chain.remainder != dominated - claimed:
+        problems.append("remainder differs from the dominated side minus its privates")
+    if chain.levels:
+        first = len(chain.levels[0].dominators)
+        if len(chain.remainder) < len(dominated) - (chain.k - 1) * first:
+            problems.append("remainder smaller than the level-1 lower bound")
+    return problems
+
+
+@st.composite
+def tampered_chains(draw):
+    """A graph and its built chain, tampered with one to three times: a
+    private dropped, added or reassigned, a level replaced by random pairs,
+    or a random remainder.  Vertices are drawn from both sides."""
+    g = draw(bipartite_graphs(max_side1=9, max_side2=9))
+    k = draw(st.integers(2, 5))
+    chain = build_chain(g, k)
+    levels = [dict(level.private_of) for level in chain.levels]
+    remainder = chain.remainder
+    vertex = st.integers(0, g.n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["drop", "add", "reassign", "replace", "remainder"]))
+        if action == "remainder":
+            remainder = vset(g, draw(st.sets(vertex)))
+            continue
+        level = levels[draw(st.integers(0, len(levels) - 1))]
+        if action == "add":
+            level[draw(vertex)] = draw(vertex)
+        elif action == "replace":
+            level.clear()
+            level.update(draw(st.dictionaries(vertex, vertex, max_size=4)))
+        elif level:
+            w = draw(st.sampled_from(sorted(level)))
+            if action == "drop":
+                del level[w]
+            else:
+                level[w] = draw(vertex)
+    levels = tuple(ChainLevel(private_of, g.n) for private_of in levels)
+    return g, DominatingChain(k=k, levels=levels, remainder=remainder)
+
+
 class TestCheckChain:
     def test_flags_wrong_level_count(self):
         g = complete_bipartite(3, 3)
@@ -394,6 +489,12 @@ class TestCheckChain:
         level = ChainLevel(private_of={3: 0}, n=g.n)
         bad = DominatingChain(k=2, levels=(level,), remainder=vset(g, [1, 2]))
         assert any("undominated" in p for p in check_chain(g, bad))
+
+    @given(tampered_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_same_problems_as_reference(self, case):
+        g, chain = case
+        assert check_chain(g, chain) == reference_check_chain(g, chain)
 
 
 class TestRouteIngredients:

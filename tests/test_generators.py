@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from enumeration import enumerate_connected_bipartite
+from moddeg import generators
 from moddeg.generators import (
     GENERATORS,
     check_params,
@@ -124,6 +126,34 @@ def test_regularish_keeps_its_draws(n1, n2, degree):
             n1, n2, degree, same
         )
         assert rng.getstate() == same.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.integers(1, 40),
+    n2=st.integers(1, 300),
+    degree=st.integers(1, 30),
+    block=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regularish_keeps_its_draws_across_blocks(n1, n2, degree, block, seed):
+    # blocks this short end inside rows of either branch of random.sample
+    degree = min(degree, n2)
+    rng, same = random.Random(seed), random.Random(seed)
+    with mock.patch.object(generators, "_BLOCK_WORDS", block):
+        graph = random_regularish(n1, n2, degree, rng)
+    assert graph == reference_regularish(n1, n2, degree, same)
+    assert rng.getstate() == same.getstate()
+
+
+@pytest.mark.parametrize("n1, n2, degree", [(40, 20, 3), (200, 100, 3)])
+def test_regularish_reads_blocks_sized_to_its_draws(n1, n2, degree):
+    # a small graph reads a few words per value, not a full block
+    with mock.patch.object(generators, "_words", wraps=generators._words) as words:
+        graph = random_regularish(n1, n2, degree, random.Random(1))
+    read = sum(call.args[1] for call in words.call_args_list)
+    # one value per edge: n1 * degree picks, then one per repaired vertex
+    assert read <= 8 * graph.edge_count()
 
 
 def reference_random(n1, n2, p, rng):
