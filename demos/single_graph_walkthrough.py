@@ -47,7 +47,8 @@ def main() -> None:
     problems = check_chain(graph, chain)
     print(f"  independent invariant check: {problems or 'clean'}")
 
-    heavy = high_degree_targets(graph, chain)
+    incidence = graph.edges_between(chain.remainder, chain.deepest)
+    heavy = high_degree_targets(incidence, K)
     print(f"\nhigh-degree remainder vertices (threshold {K ** 3}): {heavy.ids()}")
 
     for mode in ("sampled", "derandomized"):

@@ -45,7 +45,10 @@ def _read_graph(path: str, permissive: bool):
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     return parse_graph(text, permissive=permissive)
 
 

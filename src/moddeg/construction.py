@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from . import mixing
-from .graph import BipartiteGraph, ResidueSpec, VertexSet, verify_residue
+from .graph import BipartiteGraph, Incidence, ResidueSpec, VertexSet, verify_residue
 
 
 class ConstructionError(RuntimeError):
@@ -287,12 +287,14 @@ def matching_candidate(chain: DominatingChain) -> VertexSet:
     return first.dominators | first.privates
 
 
-def high_degree_targets(graph: BipartiteGraph, chain: DominatingChain) -> VertexSet:
+def high_degree_targets(incidence: Incidence, k: int) -> VertexSet:
     """Remainder vertices with at least k**3 neighbours in the deepest
-    dominator level (:func:`mixing.high_degree_cut`)."""
-    _, degrees = graph.degrees_into(chain.remainder, chain.deepest)
+    dominator level (:func:`mixing.high_degree_cut`), counted from
+    ``incidence``, the edges between the remainder (its ``a``) and the
+    deepest level (its ``b``)."""
+    _, degrees = incidence.degrees_into(incidence.a)
     # NumPy compares int64 with a Python int beyond int64 exactly
-    return chain.remainder.select(degrees >= mixing.high_degree_cut(chain.k))
+    return incidence.a.select(degrees >= mixing.high_degree_cut(k))
 
 
 def sample_subset(
@@ -322,43 +324,41 @@ def sample_subset(
 
 
 def unit_residue_targets(
-    graph: BipartiteGraph, pool: VertexSet, chosen: VertexSet, k: int
+    incidence: Incidence, chosen: VertexSet, k: int
 ) -> VertexSet:
-    """Members of ``pool`` whose neighbour count in ``chosen`` is 1 mod k."""
-    _, degrees = graph.degrees_into(pool, chosen)
+    """Members of ``incidence.a`` whose neighbour count in ``chosen``, a
+    subset of ``incidence.b``, is 1 mod k."""
+    _, degrees = incidence.degrees_into(incidence.a, chosen)
     # every degree is below n, so a k beyond int64 acts as n does
-    return pool.select(degrees % min(k, graph.n) == 1)
+    return incidence.a.select(degrees % min(k, incidence.graph.n) == 1)
 
 
 def best_draw(
-    graph: BipartiteGraph,
-    chain: DominatingChain,
-    scored: VertexSet,
-    draws: list[VertexSet],
+    incidence: Incidence, scored: VertexSet, draws: list[VertexSet], k: int
 ) -> VertexSet:
-    """The first of ``draws`` (subsets of the deepest level) whose unit
-    targets, the remainder vertices with a neighbour count in the draw of
-    1 mod k, hold the most members of ``scored``; ties go to the most unit
-    targets.
+    """The first of ``draws`` whose unit targets, the remainder vertices
+    with a neighbour count in the draw of 1 mod k, hold the most members of
+    ``scored``; ties go to the most unit targets.
 
-    One pass over the remainder's rows reads their neighbours in the
-    deepest level; each draw then costs one gather and one count.
+    ``incidence`` holds the edges between the remainder (its ``a``) and
+    the deepest level (its ``b``), of which every draw is a subset; each
+    draw costs one count over the edges of the deepest vertices it keeps,
+    and no row is read.
     """
-    ids, offsets, neighbors = graph.neighbors_within(chain.remainder, chain.deepest)
-    owner = np.repeat(np.arange(len(ids)), np.diff(offsets))
-    is_scored = scored.contains_each(ids)
+    remainder, n = incidence.a, incidence.graph.n
+    is_scored = scored.contains_each(incidence.a_ids)
     # whether a degree, always below n, is 1 mod k
-    is_unit = np.arange(graph.n) % min(chain.k, graph.n) == 1
+    is_unit = np.arange(n) % min(k, n) == 1
     keys = []
     for draw in draws:
-        degrees = np.bincount(owner[draw.contains_each(neighbors)], minlength=len(ids))
+        _, degrees = incidence.degrees_into(remainder, draw)
         units = is_unit[degrees]
         keys.append((np.count_nonzero(units & is_scored), np.count_nonzero(units)))
     return draws[keys.index(max(keys))]
 
 
 def largest_dyadic_bucket(
-    graph: BipartiteGraph, chain: DominatingChain, rest: VertexSet
+    incidence: Incidence, rest: VertexSet, k: int
 ) -> tuple[int, VertexSet]:
     """Bucket ``rest`` by floor(log2(degree into the deepest level)) and
     return the fullest bucket (ties: smallest exponent).
@@ -366,12 +366,14 @@ def largest_dyadic_bucket(
     Every vertex of ``rest`` must have degree at least 1 (the deepest level
     dominates it) and below the high-degree cut k**3, so there are at most
     floor(log2(k**3)) + 1 buckets and the winner holds at least an equal
-    share of ``rest``.
+    share of ``rest``.  Degrees are counted from ``incidence``, the edges
+    between the remainder (its ``a``, which holds ``rest``) and the deepest
+    level (its ``b``).
     """
     if not rest:
         raise ValueError("empty vertex set: no bucket to pick")
-    ids, degrees = graph.degrees_into(rest, chain.deepest)
-    threshold = mixing.high_degree_cut(chain.k)
+    ids, degrees = incidence.degrees_into(rest)
+    threshold = mixing.high_degree_cut(k)
     outside = (degrees < 1) | (degrees >= threshold)
     if outside.any():
         i = int(outside.argmax())
@@ -555,21 +557,23 @@ def find_mod_one_subgraph(
     check_run_parameters(k, mode, retries)
     chain = build_chain(graph, k)
     deepest = chain.deepest
-    heavy = high_degree_targets(graph, chain)
+    # every route query counts remainder degrees into the deepest level
+    incidence = graph.edges_between(chain.remainder, deepest)
+    heavy = high_degree_targets(incidence, k)
     rest = chain.remainder - heavy
     rng = random.Random(seed)
     residue_spec = ResidueSpec(residue=1, modulus=k)
 
     def run_route(scored: VertexSet, exponent: int) -> Route:
-        expected = mixing.expected_unit_score(graph, deepest, scored, k, exponent)
+        expected = mixing.expected_unit_score(incidence, scored, k, exponent)
         if exponent == 0:
             chosen = deepest
         elif mode == "derandomized":
             chosen = mixing.derandomize_subset(graph, deepest, scored, k, exponent)
         else:
             draws = [sample_subset(deepest, exponent, rng) for _ in range(retries)]
-            chosen = best_draw(graph, chain, scored, draws)
-        units = unit_residue_targets(graph, chain.remainder, chosen, k)
+            chosen = best_draw(incidence, scored, draws, k)
+        units = unit_residue_targets(incidence, chosen, k)
         patch = fix_degrees(graph, chain, chosen, units)
         return Route(
             vertices=patch | chosen | units,
@@ -586,7 +590,7 @@ def find_mod_one_subgraph(
     bucket_exponent = None
     bucket = None
     if rest:
-        bucket_exponent, bucket = largest_dyadic_bucket(graph, chain, rest)
+        bucket_exponent, bucket = largest_dyadic_bucket(incidence, rest, k)
         routes[3] = run_route(bucket, bucket_exponent)
 
     best_case = None

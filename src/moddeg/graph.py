@@ -17,13 +17,22 @@ and ids outside [0, n) are refused when a set is built.
 This module alone knows both formats.  The rest of the package works through
 :class:`VertexSet` operations, :meth:`BipartiteGraph.neighbor_ids` (one row
 as a list), :meth:`BipartiteGraph.neighbor_rows` (the rows of an id array,
-gathered as CSR offsets into one flat ``int64`` array), and
-:meth:`BipartiteGraph.degrees_into`, :meth:`BipartiteGraph.last_neighbors`
-and :meth:`BipartiteGraph.neighbors_within`, which read only the rows from
-a pool's first member to its last and return ``int64`` arrays aligned with
-the pool's ids: each member's neighbour count in a subset, from the second
-its largest neighbour there, and from the last its neighbours there, as
-CSR offsets into one flat array.
+gathered as CSR offsets into one flat ``int64`` array), three readers that
+return ``int64`` arrays aligned with a pool's ids, and
+:meth:`BipartiteGraph.edges_between`.
+:meth:`BipartiteGraph.edges_between` reads the edges between two sets once,
+as an :class:`Incidence` that counts degrees between their subsets without
+reading a row again.  Every edge between two sets lies in the rows of
+either set, so it gathers the rows of whichever set's members hold fewer
+entries.  :meth:`BipartiteGraph.degrees_into`, each member's neighbour
+count in a subset, reads through it; :func:`verify_residue` reads a
+subset's induced edges the same way, from the rows of whichever side's
+members hold fewer entries.
+:meth:`BipartiteGraph.last_neighbors` reads the rows from the pool's first
+member to its last, for each member's neighbour count in a subset and its
+largest neighbour there.
+:meth:`BipartiteGraph.neighbors_within` gathers the members' rows alone, for
+their neighbours in a subset as CSR offsets into one flat array.
 
 A labeled document that is plain ASCII digits, blanks, comments and "\\n"
 or "\\r\\n" line ends, which is every document ``moddeg gen`` writes, is
@@ -344,9 +353,10 @@ class BipartiteGraph:
         self, pool: VertexSet, subset: VertexSet
     ) -> tuple[np.ndarray, np.ndarray]:
         """The members of ``pool`` in ascending order and each one's
-        neighbour count inside ``subset``, as two aligned ``int64`` arrays."""
-        ids, rows, starts, _, hits = self._pool_rows(pool, subset)
-        return ids, np.add.reduceat(hits, starts, dtype=np.int64)[rows]
+        neighbour count inside ``subset``, as two aligned ``int64`` arrays.
+        Reads the rows of whichever set's members hold fewer entries, as
+        :meth:`edges_between` does."""
+        return self.edges_between(pool, subset).degrees_into(pool)
 
     def last_neighbors(
         self, pool: VertexSet, subset: VertexSet
@@ -366,33 +376,87 @@ class BipartiteGraph:
         """The members of ``pool`` in ascending order, and their neighbours
         inside ``subset`` in CSR form, as three ``int64`` arrays ``(ids,
         offsets, neighbors)``: the neighbours of ``ids[i]`` inside
-        ``subset`` are ``neighbors[offsets[i]:offsets[i + 1]]``, ascending."""
-        ids, rows, starts, entries, hits = self._pool_rows(pool, subset)
-        # each entry's member, the position of its row's vertex in ids, or
-        # -1 for a row between members
-        member = np.full(len(starts), -1, dtype=np.int64)
-        member[rows] = np.arange(len(ids))
-        member = np.repeat(member, np.diff(starts, append=len(entries)))
-        keep = hits & (member >= 0)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(member[keep], minlength=len(ids)), out=offsets[1:])
-        return ids, offsets, entries[keep]
+        ``subset`` are ``neighbors[offsets[i]:offsets[i + 1]]``, ascending.
+        Reads the members' rows only, with one gather."""
+        ids = self._own(pool).nonzero()[0]
+        return (ids, *self._cut(*self.neighbor_rows(ids), self._own(subset)))
 
     def neighbor_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of ``ids``, an integer array of vertex ids, in CSR form,
         as two ``int64`` arrays ``(offsets, neighbors)``: the neighbours of
         ``ids[i]`` are ``neighbors[offsets[i]:offsets[i + 1]]``, ascending.
         Reads those rows only, with one gather."""
-        indptr, indices = self.adj
+        begin, lengths, offsets = self._spans(ids)
+        return offsets, self._gather(begin, lengths, offsets)
+
+    def edges_between(self, a: VertexSet, b: VertexSet) -> "Incidence":
+        """The edges joining a member of ``a`` to a member of ``b``, read
+        once for many degree counts between their subsets.  Reads the rows
+        of whichever set's members hold fewer entries, with one gather."""
+        in_a, in_b = self._own(a), self._own(b)
+        a_ids = in_a.nonzero()[0]
+        ids = np.concatenate((a_ids, in_b.nonzero()[0]))
+        from_a, near, offsets, far = self._edges_between(ids, len(a_ids), in_a, in_b)
+        lengths = offsets[1:] - offsets[:-1]
+        if from_a:
+            a_ends, b_ends = np.arange(len(a_ids)).repeat(lengths), far
+        else:
+            position = np.empty(self.n, dtype=np.int64)  # of each id in a_ids
+            position[a_ids] = np.arange(len(a_ids))
+            a_ends, b_ends = position[far], near.repeat(lengths)
+        a_ids.setflags(write=False)
+        return Incidence(self, a, b, a_ids, a_ends, b_ends)
+
+    def _edges_between(
+        self, ids: np.ndarray, split: int, in_first: np.ndarray, in_second: np.ndarray
+    ) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+        """The edges between the ids ``ids[:split]`` and ``ids[split:]``,
+        whose members the bool masks ``in_first`` and ``in_second`` mark
+        among the entries of the other part's rows.  Every such edge lies in
+        the rows of both parts, so this reads the rows of whichever part
+        holds fewer entries (the first on a tie), with one gather.  Returns
+        ``(first, part, offsets, neighbors)``: whether the part read is the
+        first, its ids, and in CSR form each one's neighbours in the other
+        part, as :meth:`neighbors_within` gives them."""
+        begin, lengths, offsets = self._spans(ids)
+        middle = offsets[split]
+        first = bool(2 * middle <= offsets[-1])
+        if first:
+            part, offsets = slice(split), offsets[:split + 1]
+        else:
+            part, offsets = slice(split, None), offsets[split:] - middle
+        entries = self._gather(begin[part], lengths[part], offsets)
+        return (first, ids[part], *self._cut(offsets, entries, in_second if first else in_first))
+
+    @staticmethod
+    def _cut(
+        offsets: np.ndarray, entries: np.ndarray, within: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in CSR form ``(offsets, entries)`` cut to the entries
+        that the bool mask ``within`` marks, in the same form."""
+        kept = within[entries].nonzero()[0]
+        return kept.searchsorted(offsets), entries.take(kept)
+
+    def _spans(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the rows of ``ids`` begin in ``indices``, their lengths,
+        and the CSR offsets of those rows gathered into one array."""
+        indptr = self.adj[0]
         begin = indptr[ids]
-        lengths = indptr[ids + 1] - begin
+        lengths = indptr[1:][ids] - begin
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        lengths.cumsum(out=offsets[1:])
+        np.add.accumulate(lengths, out=offsets[1:])  # cumsum(out=) costs twice that
+        return begin, lengths, offsets
+
+    def _gather(
+        self, begin: np.ndarray, lengths: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """The rows ``indices[begin[i]:begin[i] + lengths[i]]`` gathered
+        into one array, each at its offset in the CSR ``offsets``."""
         # an entry's position in indices: its row's begin plus its place in
         # the row, which is its offset here minus the row's
         positions = (begin - offsets[:-1]).repeat(lengths)
         positions += np.arange(offsets[-1])
-        return offsets, indices[positions]
+        return self.adj[1][positions]
 
     def _own(self, vertex_set: VertexSet) -> np.ndarray:
         """The mask of ``vertex_set``, which must be drawn from this graph's
@@ -436,6 +500,56 @@ class BipartiteGraph:
         return left, indices[: side1_rows[-1]]
 
 
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """The edges between two vertex sets ``a`` and ``b`` of one graph, as
+    :meth:`BipartiteGraph.edges_between` reads them.
+
+    ``a_ids`` holds the members of ``a`` in ascending order, and edge i
+    joins ``a_ids[a_ends[i]]`` to ``b_ends[i]``, a member of ``b``.  The
+    edges come in the order of the rows they were read from.
+    """
+
+    graph: BipartiteGraph
+    a: VertexSet
+    b: VertexSet
+    a_ids: np.ndarray
+    a_ends: np.ndarray
+    b_ends: np.ndarray
+
+    def degrees_into(
+        self, pool: VertexSet, subset: VertexSet | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The members of ``pool``, a subset of ``a``, in ascending order and
+        each one's neighbour count inside ``subset``, a subset of ``b``, or
+        in all of ``b`` when ``subset`` is None, as two aligned ``int64``
+        arrays.  Counts the edges whose ``b`` end ``subset`` holds, and
+        reads no row.
+        Raises ``ValueError`` for a ``pool`` outside ``a`` or a ``subset``
+        outside ``b``, whose edges were not read."""
+        if subset is None:
+            counts = self._counts
+        else:
+            in_subset = self.graph._own(subset)
+            if subset is not self.b and not subset <= self.b:
+                raise ValueError("subset holds vertices outside the incidence's b")
+            ends = self.a_ends.take(in_subset[self.b_ends].nonzero()[0])
+            counts = np.bincount(ends, minlength=len(self.a_ids))
+        if pool is self.a:  # the set it was read for needs no cut
+            return self.a_ids, counts
+        members = self.graph._own(pool)[self.a_ids]
+        if np.count_nonzero(members) != len(pool):
+            raise ValueError("pool holds vertices outside the incidence's a")
+        return self.a_ids[members], counts[members]
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Each member of ``a``'s neighbour count in ``b``, read-only."""
+        counts = np.bincount(self.a_ends, minlength=len(self.a_ids))
+        counts.setflags(write=False)
+        return counts
+
+
 def _warn_outside(message: str, category: type[Warning]) -> None:
     """Warn with ``message``, naming the first caller outside this module:
     the caller of the public function that found the fault."""
@@ -454,12 +568,24 @@ def verify_residue(
     residue`` holds inside the induced subgraph for every member, and
     otherwise reports the smallest offending vertex id with its residue.
     An empty subset passes vacuously.
+
+    Every induced edge joins a side-1 member to a side-2 member, so the
+    rows of one side's members hold them all.  The check reads the rows of
+    whichever side's members hold fewer entries, with one gather: a row's
+    owner counts its entries inside ``subset``, and each such entry counts
+    once for the member it names.
     """
-    ids, counts = graph.degrees_into(subset, subset)
+    mask = graph._own(subset)
+    ids = mask.nonzero()[0]
+    split = int(ids.searchsorted(graph.n1))  # the side-1 members come first
+    _, near, offsets, far = graph._edges_between(ids, split, mask, mask)
+    counts = np.bincount(far, minlength=graph.n)
+    counts[near] = offsets[1:] - offsets[:-1]
+    counts = counts[ids]
     # every count is below n, so a modulus beyond int64 acts as n does
     residues = counts % min(spec.modulus, graph.n)
     wrong = residues != spec.residue
-    if wrong.any():
+    if np.count_nonzero(wrong):  # one C call, where .any() goes through Python
         i = int(wrong.argmax())
         return ResidueCheck(
             ok=False, witness=int(ids[i]), witness_residue=int(residues[i])

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import BipartiteGraph, VertexSet
+from .graph import BipartiteGraph, Incidence, VertexSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +232,14 @@ def format_uniformity_table(checks: list[UniformityCheck], fmt: str = "text") ->
 
 
 def expected_unit_score(
-    graph: BipartiteGraph,
-    members: VertexSet,
-    scored: VertexSet,
-    k: int,
-    exponent: int,
+    incidence: Incidence, scored: VertexSet, k: int, exponent: int
 ) -> float:
-    """Expected number of scored vertices whose degree into a random subset
-    of ``members`` (each kept with probability 2^-exponent) is 1 mod k."""
-    _, degrees = graph.degrees_into(scored, members)
+    """Expected number of ``scored`` vertices whose degree into a random
+    subset of ``incidence.b`` (each member kept with probability
+    2^-exponent) is 1 mod k.  ``scored`` lies in ``incidence.a``, and the
+    degrees are counted from the incidence's edges.
+    """
+    _, degrees = incidence.degrees_into(scored)
     if not degrees.size:
         return 0.0
     table = residue_table(int(degrees.max()), k, exponent)

@@ -253,6 +253,16 @@ class TestFind:
         code, _, err = run(["find", "--input", str(bad), "--k", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["find", "--k", "2"], ["oracle", "-q", "2"]],
+                             ids=["find", "oracle"])
+    def test_undecodable_input_names_the_file(self, command, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"\xff 1\n0 1\n")
+        code, out, err = run(command + ["--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_isolated_vertex_named_as_in_the_file(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 3\n0 2\n1 3\n0 3\n"))
         code, out, err = run(["find", "--k", "2"], capsys)

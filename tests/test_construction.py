@@ -30,8 +30,10 @@ from moddeg import (
     unit_residue_targets,
     verify_residue,
 )
+from moddeg import construction
 from moddeg.construction import HEAVY_SHARE, MATCHING_SHARE, best_draw
 from moddeg.generators import complete_bipartite, matching, random_regularish, star
+from moddeg.graph import Incidence
 
 
 def vset(g: BipartiteGraph, ids=()) -> VertexSet:
@@ -41,6 +43,12 @@ def vset(g: BipartiteGraph, ids=()) -> VertexSet:
 
 def nbrs(g: BipartiteGraph, v: int) -> VertexSet:
     return vset(g, g.neighbor_ids(v))
+
+
+def remainder_to_deepest(g: BipartiteGraph, chain: DominatingChain) -> Incidence:
+    """The edges between the chain's remainder and its deepest level, which
+    a run reads once for all its route queries."""
+    return g.edges_between(chain.remainder, chain.deepest)
 
 
 def path4() -> BipartiteGraph:
@@ -510,14 +518,15 @@ class TestRouteIngredients:
         g = boundary_graph()
         chain = build_chain(g, 2)
         assert set(chain.remainder) == {9, 10}
-        heavy = high_degree_targets(g, chain)
+        heavy = high_degree_targets(remainder_to_deepest(g, chain), 2)
         assert set(heavy) == {9}
 
     def test_dyadic_bucket_prefers_the_fullest(self):
         g = staircase_graph()
         chain = build_chain(g, 2)
         assert set(chain.remainder) == {7, 8, 9, 10}
-        exponent, bucket = largest_dyadic_bucket(g, chain, chain.remainder)
+        incidence = remainder_to_deepest(g, chain)
+        exponent, bucket = largest_dyadic_bucket(incidence, chain.remainder, 2)
         assert exponent == 1
         assert set(bucket) == {8, 9}
 
@@ -525,7 +534,7 @@ class TestRouteIngredients:
         g = matching(2)
         chain = build_chain(g, 2)
         with pytest.raises(ValueError):
-            largest_dyadic_bucket(g, chain, vset(g))
+            largest_dyadic_bucket(remainder_to_deepest(g, chain), vset(g), 2)
 
     def test_dyadic_bucket_names_the_unclamped_bound(self):
         # vertex 1 has no neighbour in the deepest level {2}
@@ -533,8 +542,9 @@ class TestRouteIngredients:
         chain = DominatingChain(
             k=3, levels=(ChainLevel({2: 0}, g.n),), remainder=vset(g, [1])
         )
+        incidence = remainder_to_deepest(g, chain)
         with pytest.raises(ConstructionError) as caught:
-            largest_dyadic_bucket(g, chain, chain.remainder)
+            largest_dyadic_bucket(incidence, chain.remainder, 3)
         assert str(caught.value) == "vertex 1 has degree 0, outside [1, 27)"
 
     @pytest.mark.parametrize("k", [2**21, 10**20])
@@ -558,9 +568,10 @@ class TestRouteIngredients:
         fullest = max(len(b) for b in buckets.values())
         exponent = min(e for e, b in buckets.items() if len(b) == fullest)
 
-        assert set(high_degree_targets(g, chain)) == heavy
+        incidence = remainder_to_deepest(g, chain)
+        assert set(high_degree_targets(incidence, k)) == heavy
         rest = chain.remainder - vset(g, heavy)
-        assert largest_dyadic_bucket(g, chain, rest) == (
+        assert largest_dyadic_bucket(incidence, rest, k) == (
             exponent, vset(g, buckets[exponent])
         )
 
@@ -568,10 +579,11 @@ class TestRouteIngredients:
     @settings(max_examples=60)
     def test_dyadic_bucket_pigeonhole(self, g, k):
         chain = build_chain(g, k)
-        rest = chain.remainder - high_degree_targets(g, chain)
+        incidence = remainder_to_deepest(g, chain)
+        rest = chain.remainder - high_degree_targets(incidence, k)
         if not rest:
             return
-        exponent, bucket = largest_dyadic_bucket(g, chain, rest)
+        exponent, bucket = largest_dyadic_bucket(incidence, rest, k)
         assert bucket <= rest
         slots = (k ** 3).bit_length()
         assert len(bucket) * slots >= len(rest)
@@ -626,17 +638,18 @@ class TestRouteIngredients:
     def test_unit_residue_targets_counts_mod_k(self):
         g = complete_bipartite(3, 3)
         pool = g.side1
-        assert unit_residue_targets(g, pool, g.side2, 3) == vset(g)
-        assert unit_residue_targets(g, pool, vset(g, [4]), 3) == pool
-        assert unit_residue_targets(g, pool, g.side2, 2) == pool
+        incidence = g.edges_between(pool, g.side2)
+        assert unit_residue_targets(incidence, g.side2, 3) == vset(g)
+        assert unit_residue_targets(incidence, vset(g, [4]), 3) == pool
+        assert unit_residue_targets(incidence, g.side2, 2) == pool
         # a modulus beyond int64 counts as any modulus above every degree
-        assert unit_residue_targets(g, pool, vset(g, [4]), 10**20) == pool
+        assert unit_residue_targets(incidence, vset(g, [4]), 10**20) == pool
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))
     @settings(max_examples=60)
     def test_unit_residue_targets_recount(self, g, k):
         chosen = vset(g, (w for w in g.side2 if w % 2))
-        got = unit_residue_targets(g, g.side1, chosen, k)
+        got = unit_residue_targets(g.edges_between(g.side1, g.side2), chosen, k)
         want = {v for v in g.side1 if len(nbrs(g, v) & chosen) % k == 1}
         assert set(got) == want
 
@@ -671,12 +684,13 @@ class TestBestDraw:
         chosen = data.draw(st.sets(st.sampled_from(remainder))) if remainder else ()
         rng = random.Random(seed)
         draws = [sample_subset(chain.deepest, exponent, rng) for _ in range(retries)]
+        incidence = remainder_to_deepest(g, chain)
         for scored in (chain.remainder, vset(g, chosen), vset(g)):
             pick = reference_pick(g, chain, scored, draws)
-            assert best_draw(g, chain, scored, draws) is draws[pick]
+            assert best_draw(incidence, scored, draws, k) is draws[pick]
             # a forced tie: every key comes twice, and the first copy wins
             doubled = draws + draws
-            assert best_draw(g, chain, scored, doubled) is doubled[pick]
+            assert best_draw(incidence, scored, doubled, k) is doubled[pick]
 
     def test_tie_between_distinct_draws_goes_to_the_first(self):
         # remainder {9, 10}; a draw of one deepest vertex gives both a
@@ -685,8 +699,9 @@ class TestBestDraw:
         chain = build_chain(g, 2)
         draws = [vset(g, [12]), vset(g, [11]), vset(g, [11, 12])]
         assert reference_pick(g, chain, chain.remainder, draws) == 0
-        assert best_draw(g, chain, chain.remainder, draws) is draws[0]
-        assert best_draw(g, chain, chain.remainder, draws[1:]) is draws[1]
+        incidence = remainder_to_deepest(g, chain)
+        assert best_draw(incidence, chain.remainder, draws, 2) is draws[0]
+        assert best_draw(incidence, chain.remainder, draws[1:], 2) is draws[1]
 
     def test_scored_units_rank_before_units(self):
         # remainder {7, 8, 9, 10} at k = 2; {12} makes 8, 9 and 10 units and
@@ -696,7 +711,8 @@ class TestBestDraw:
         assert set(chain.remainder) == {7, 8, 9, 10}
         draws = [vset(g, [12]), vset(g, [11, 12])]
         assert reference_pick(g, chain, vset(g, [7]), draws) == 1
-        assert best_draw(g, chain, vset(g, [7]), draws) is draws[1]
+        incidence = remainder_to_deepest(g, chain)
+        assert best_draw(incidence, vset(g, [7]), draws, 2) is draws[1]
 
     @given(bipartite_graphs(max_side1=9, max_side2=7), st.integers(2, 4),
            st.integers(1, 16), st.integers(0, 2**32))
@@ -726,6 +742,42 @@ class TestBestDraw:
             draws = [sample_subset(chain.deepest, exponent, rng) for _ in range(retries)]
             assert route.chosen == draws[reference_pick(g, chain, scored, draws)]
         return trace
+
+
+class TestSharedIncidence:
+    """After the chain is built, a run reads the edges between the
+    remainder and the deepest level once, and every route query counts its
+    degrees from that one read."""
+
+    READERS = ("degrees_into", "last_neighbors", "neighbors_within", "edges_between")
+
+    @pytest.mark.parametrize("mode", ["sampled", "derandomized"])
+    def test_one_read_per_run(self, mode, monkeypatch):
+        calls = []
+        for name in self.READERS:
+            def spy(self, *args, _real=getattr(BipartiteGraph, name), _name=name):
+                calls.append((_name, args))
+                return _real(self, *args)
+            monkeypatch.setattr(BipartiteGraph, name, spy)
+
+        def chain_spy(*args, _real=construction.build_chain):
+            chain = _real(*args)
+            calls.append(("build_chain", chain))
+            return chain
+        monkeypatch.setattr(construction, "build_chain", chain_spy)
+
+        # at k = 2 vertex 9 is heavy (route 2) and vertex 10 is not (route 3)
+        _, trace = find_mod_one_subgraph(boundary_graph(), 2, mode=mode)
+        assert {2, 3} <= set(trace.routes)
+        start = [name for name, _ in calls].index("build_chain")
+        chain = calls[start][1]
+        after = calls[start + 1:]
+        # every read that counts remainder vertices into the deepest level
+        reads = [
+            (name, (pool, subset)) for name, (pool, subset) in after
+            if pool and pool <= chain.remainder and subset <= chain.deepest
+        ]
+        assert reads == [("edges_between", (chain.remainder, chain.deepest))]
 
 
 class TestFixDegrees:
@@ -801,7 +853,7 @@ class TestFixDegrees:
     def test_patched_candidate_always_verifies(self, g, k):
         chain = build_chain(g, k)
         chosen = chain.deepest
-        units = unit_residue_targets(g, chain.remainder, chosen, k)
+        units = unit_residue_targets(remainder_to_deepest(g, chain), chosen, k)
         if not chosen:
             return
         patch = fix_degrees(g, chain, chosen, units)

@@ -3,11 +3,17 @@
 Every other module, test and demo works through ``VertexSet`` operations,
 ``BipartiteGraph.neighbor_ids`` (one row as a list),
 ``BipartiteGraph.neighbor_rows`` (the rows of an id array, as CSR offsets
-into one flat int64 array), ``BipartiteGraph.degrees_into``,
-``BipartiteGraph.last_neighbors`` (a pool's ids with counts, and largest
-neighbours, as aligned int64 arrays) and ``BipartiteGraph.neighbors_within``
-(a pool's ids with its neighbours in a subset, as CSR offsets into one flat
-int64 array), so a new graph representation has to change one file only.
+into one flat int64 array), ``BipartiteGraph.last_neighbors`` (a pool's
+ids with counts and largest neighbours, as aligned int64 arrays, from the
+rows between the pool's first member and its last),
+``BipartiteGraph.neighbors_within`` (a pool's ids with its neighbours in a
+subset, as CSR offsets into one flat int64 array, from the members' rows
+alone), ``BipartiteGraph.edges_between`` (the edges between two sets, from
+the rows of whichever set holds fewer entries, as an ``Incidence`` whose
+``degrees_into`` counts between their subsets) and
+``BipartiteGraph.degrees_into`` (a pool's ids with counts, read through
+``edges_between``), so a new graph representation has to change one file
+only.
 ``tests/test_graph.py`` tests that file and is exempt.
 """
 

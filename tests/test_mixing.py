@@ -267,7 +267,8 @@ class TestDerandomize:
     @settings(max_examples=60)
     def test_never_below_apriori_expectation(self, g, k, exponent):
         members, scored = g.side2, g.side1
-        expectation = mixing.expected_unit_score(g, members, scored, k, exponent)
+        incidence = g.edges_between(scored, members)
+        expectation = mixing.expected_unit_score(incidence, scored, k, exponent)
         kept = mixing.derandomize_subset(g, members, scored, k, exponent)
         achieved = sum(
             1 for v in scored if len(set(g.neighbor_ids(v)) & set(kept)) % k == 1
@@ -368,7 +369,8 @@ class TestExpectedUnitScore:
     @settings(max_examples=40)
     def test_matches_exhaustive_subset_average(self, g, k, exponent):
         members, scored = g.side2, g.side1
-        got = mixing.expected_unit_score(g, members, scored, k, exponent)
+        incidence = g.edges_between(scored, members)
+        got = mixing.expected_unit_score(incidence, scored, k, exponent)
         q = Fraction(1, 2**exponent)
         member_ids = list(members)
         total = Fraction(0)
@@ -386,7 +388,8 @@ class TestExpectedUnitScore:
     def test_empty_scored(self):
         g = BipartiteGraph.from_edges(1, 1, [(0, 1)])
         empty = VertexSet.from_ids([], g.n)
-        assert mixing.expected_unit_score(g, g.side2, empty, 3, 1) == 0.0
+        incidence = g.edges_between(empty, g.side2)
+        assert mixing.expected_unit_score(incidence, empty, 3, 1) == 0.0
 
     def test_adds_left_to_right_in_ascending_id_order(self):
         # degrees up to 60 at exponents 2 and 3 give table entries that round,
@@ -401,4 +404,5 @@ class TestExpectedUnitScore:
             want = 0.0
             for d in degrees:  # scored vertex i has degree degrees[i]
                 want += float(table[d, 1 % k])
-            assert mixing.expected_unit_score(g, g.side2, g.side1, k, exponent) == want
+            incidence = g.edges_between(g.side1, g.side2)
+            assert mixing.expected_unit_score(incidence, g.side1, k, exponent) == want
