@@ -5,9 +5,10 @@ Vertex ids are dense 0-based integers: ids ``0..n1-1`` form side 1 and ids
 NumPy ``int64`` arrays in compressed sparse row form: the neighbours of ``v``
 are ``indices[indptr[v]:indptr[v+1]]``, in ascending order, so memory is
 O(n + E) and a degree count into a vertex set is one vectorized O(E) pass.
-Building it from an edge list sorts one E-length key buffer and writes the
-CSR in place, never into the caller's array, so a build's working memory
-is little more than its input and its output.
+Building it from an edge list sorts one E-length key buffer, unless its
+keys already come strictly ascending, and writes the CSR in place, never
+into the caller's array, so a build's working memory is little more than
+its input and its output.
 A :class:`VertexSet` is a read-only NumPy bool mask of length n, the
 graph's vertex count, so a degree query reads a subset's membership of
 each CSR entry with one gather, and a pool's ids are the mask's nonzero
@@ -37,8 +38,9 @@ their neighbours in a subset as CSR offsets into one flat array.
 A labeled document that is plain ASCII digits, blanks, comments and "\\n"
 or "\\r\\n" line ends, which is every document ``moddeg gen`` writes, is
 read one block of whole lines at a time, by C-level ``bytes`` scans and one
-NumPy pass over the positions of the block's blank bytes, and each block's
-edges go straight into the one key buffer that the CSR is built from.  Any
+NumPy pass over the positions of the block's blank bytes (its line ends are
+gathered by intp positions, then narrowed to int32), and each block's edges
+go straight into the one key buffer that the CSR is built from.  Any
 other document, and any document with an error, is read line by line, and
 that reading names the first bad line.  A permissive document is read
 line by line and 2-coloured by array component labels.
@@ -236,8 +238,9 @@ class BipartiteGraph:
         it returns, the build holds one E-length ``int64`` key buffer, a
         second one only until the keys are formed, and a few bool and
         n-length arrays.  It never writes into the caller's array.  The
-        keys are sorted and turned into the CSR by :meth:`_from_keys`,
-        which :func:`parse_graph` feeds the keys it reads directly.
+        keys are sorted, unless already strictly ascending, and turned into
+        the CSR by :meth:`_from_keys`, which :func:`parse_graph` feeds the
+        keys it reads directly.
         """
         if n1 < 1 or n2 < 1:
             raise GraphError(f"both sides must be non-empty, got n1={n1}, n2={n2}")
@@ -281,11 +284,15 @@ class BipartiteGraph:
         """The graph of the edges ``key // n2``–``n1 + key % n2``, for an
         ``int64`` array ``key`` of values in [0, n1·n2) that the build sorts
         and reuses in place.  Duplicates are dropped with a
-        :class:`DuplicateEdgeWarning`; raises if a vertex is isolated."""
+        :class:`DuplicateEdgeWarning`; raises if a vertex is isolated.
+        Strictly ascending keys are sorted and distinct already, so they
+        skip the sort and the dedup: one comparison pass tells."""
         n = n1 + n2
-        key.sort()
         fresh = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        np.greater(key[1:], key[:-1], out=fresh[1:])
+        if not fresh.all():  # not strictly ascending
+            key.sort()
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
         duplicates = len(key) - int(np.count_nonzero(fresh))
         if duplicates:
             _warn_outside(
@@ -298,7 +305,10 @@ class BipartiteGraph:
         m = len(key)
         indices = np.empty(2 * m, dtype=np.int64)
         right, left = indices[:m], indices[m:]
-        np.divmod(key, n2, out=(left, right))
+        # a scalar floor division is far faster than divmod or remainder
+        np.floor_divide(key, n2, out=left)
+        np.multiply(left, n2, out=right)
+        np.subtract(key, right, out=right)
         indptr = np.zeros(n + 1, dtype=np.int64)
         degrees = indptr[1:]
         degrees[:n1] = np.bincount(left, minlength=n1)
@@ -312,7 +322,9 @@ class BipartiteGraph:
         key += left
         key.sort()
         right += n1
-        np.remainder(key, n1, out=left)
+        np.floor_divide(key, n1, out=left)
+        left *= n1
+        np.subtract(key, left, out=left)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return cls(n1=n1, n2=n2, adj=(indptr, indices))
@@ -638,9 +650,9 @@ def _tokenize(text: str) -> np.ndarray | None:
     blank = np.flatnonzero(data <= ord(" "))
     if blank.size == data.size:
         return np.empty((0, 2), dtype=np.int64)  # no content line
+    line_end = data[blank] == ord("\n")  # gathers faster by intp than int32
     if data.size < 2**31:  # halves the memory every later pass reads
         blank = blank.astype(np.int32)
-    line_end = data[blank] == ord("\n")
     gap = np.diff(blank)  # one more than the length of the word in between
     apart = gap > 1
     if not apart.all():  # one run per stretch of adjacent blanks
@@ -719,8 +731,9 @@ def parse_graph(text: str, *, permissive: bool = False) -> BipartiteGraph:
 
     A labeled document in the scan's grammar (see :func:`_tokenize`) is
     read ``_BLOCK_CHARS`` characters at a time, up to a line end, straight
-    into the CSR's key buffer, so its peak is about 1.6 times the CSR; any
-    other document, or one that fails a check, is read line by line.
+    into the CSR's key buffer, so its peak is about 1.6 times the CSR.  A
+    canonical document's keys come strictly ascending and skip the sort.
+    Any other document, or one that fails a check, is read line by line.
     """
     if permissive:
         return _parse_permissive(_content_lines(text))
@@ -762,7 +775,10 @@ def _read_labeled_blocks(text: str) -> BipartiteGraph | None:
                 return None
             key = np.empty(lines, dtype=np.int64)
         u, v = rows.T
-        if not ((0 <= u) & (u < n1) & (n1 <= v) & (v < n1 + n2)).all():
+        # the scan reads no sign, so no id is negative; initial= passes a
+        # block of comment lines only
+        if (u.max(initial=0) >= n1 or v.min(initial=n1) < n1
+                or v.max(initial=n1) >= n1 + n2):
             return None
         # one key per edge, ordered by (side-1 end, side-2 end)
         block = key[m:m + len(rows)]

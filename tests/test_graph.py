@@ -309,6 +309,43 @@ class TestFromEdges:
             assert len(g.neighbor_ids(v)) >= 1
 
 
+class TestOrderedKeys:
+    """A canonical document and a sorted edge array give their keys in
+    strictly ascending order, so the build skips their sort; a repeat or a
+    swap of adjacent edges must still take the sort and the dedup."""
+
+    EDGES = complete_bipartite(3, 4).edges()
+
+    @staticmethod
+    def read(how, edges, monkeypatch):
+        if how == "from_edges":
+            return BipartiteGraph.from_edges(3, 4, np.array(edges))
+        TestParseMessages.refuse_the_line_reading(monkeypatch)
+        return parse_graph("3 4\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+    @staticmethod
+    def assert_same_csr(g, want):
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(g.adj, want.adj))
+
+    @pytest.mark.parametrize("how", ["from_edges", "scan"])
+    @pytest.mark.parametrize("i", [0, 5, 11])
+    def test_adjacent_repeat_is_deduplicated(self, how, i, monkeypatch):
+        edges = self.EDGES[: i + 1] + self.EDGES[i:]
+        with pytest.warns(DuplicateEdgeWarning, match=r"deduplicated 1 repeated edge\(s\)"):
+            g = self.read(how, edges, monkeypatch)
+        self.assert_same_csr(g, BipartiteGraph.from_edges(3, 4, self.EDGES))
+
+    @pytest.mark.parametrize("how", ["from_edges", "scan"])
+    @pytest.mark.parametrize("i", [0, 5, 10])
+    def test_adjacent_swap_reads_as_sorted(self, how, i, monkeypatch):
+        edges = list(self.EDGES)
+        edges[i], edges[i + 1] = edges[i + 1], edges[i]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DuplicateEdgeWarning)
+            g = self.read(how, edges, monkeypatch)
+        self.assert_same_csr(g, BipartiteGraph.from_edges(3, 4, self.EDGES))
+
+
 class TestBuildMemory:
     """The working memory of a graph build, as traced by ``tracemalloc``,
     to which NumPy reports its buffers: at most a small multiple of the CSR
@@ -341,9 +378,12 @@ class TestBuildMemory:
         assert self.peak_ratio(lambda: BipartiteGraph.from_edges(g.n1, g.n2, edges)) <= 2.0
 
     def test_parse_graph_peak(self, graph_and_edges):
-        g, _ = graph_and_edges
-        text = serialize_graph(g)
-        assert self.peak_ratio(lambda: parse_graph(text)) <= 2.0
+        """A canonical document's keys come in order and skip the sort; a
+        document of the same edges in shuffled lines takes it."""
+        g, edges = graph_and_edges
+        shuffled = f"{g.n1} {g.n2}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist())
+        for text in (serialize_graph(g), shuffled):
+            assert self.peak_ratio(lambda: parse_graph(text)) <= 2.0
 
     @pytest.mark.parametrize("mode", ["sampled", "derandomized"])
     def test_construction_peak(self, graph_and_edges, mode):
@@ -1148,6 +1188,30 @@ class TestParseMessages:
             patch.setattr(graph_module, "_BLOCK_CHARS", block)
             self.refuse_the_line_reading(patch)
             assert parse_graph(text) == BipartiteGraph.from_edges(*header, edges)
+
+    @pytest.mark.parametrize("bad", [(2, 3), (0, 1), (0, 4)],
+                             ids=["left-is-n1", "right-below-n1", "right-is-n"])
+    @pytest.mark.parametrize("place", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_out_of_range_id_near_comment_blocks_is_named(self, bad, place):
+        """With blocks of 4 to 8 characters the first edge shares the
+        header's block, and every later line, 10 characters long, is a block
+        of its own: the bad edge sits in the first, a middle or the last
+        block, with blocks of comments only around it."""
+        edges = [(0, 2), (1, 3), (0, 3)]
+        edges[place] = bad
+        comment = "# comment"
+        lines = ["2 2", "%4d %4d" % edges[0], comment, comment,
+                 "%4d %4d" % edges[1], comment, comment, "%4d %4d" % edges[2]]
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(GraphError) as per_line:
+            graph_module._read_labeled_lines(text)
+        assert str(per_line.value).startswith(f"line {2 + 3 * place}: vertex ")
+        for block in range(4, 9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph_module, "_BLOCK_CHARS", block)
+                with pytest.raises(GraphError) as scanned:
+                    parse_graph(text)
+            assert str(scanned.value) == str(per_line.value)
 
     def test_bad_line_in_the_last_block_is_named(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 4)
