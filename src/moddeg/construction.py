@@ -124,13 +124,19 @@ def minimal_dominating_set(
     the last candidate neighbour of a target that no kept candidate
     dominates yet.  One array pass over the targets' rows finds each
     target's last candidate, and one gather reads the rows of the distinct
-    last candidates, the only ones that can stay.  One Python step per last
-    candidate then checks the targets it is last for and, if it is kept,
-    marks the entries of its row, a slice of that gather.  The privates come
-    from the kept rows alone: a target met once in them has one kept
-    neighbour, and rows ascend, so the first such target in a row is its
-    dominator's smallest private.  A candidate that is last for no target
-    costs nothing, so O(n + E) in all.
+    last candidates, the only ones that can stay.  Array passes over that
+    gather then settle what needs no order.  A target in no other last
+    candidate's row has no other neighbour that can stay, so its own last
+    candidate is forced to stay.  A target in a forced row other than its
+    own has a kept neighbour of smaller id than its last, which dominates it
+    before its turn, so it never decides a removal.  Only the targets in no
+    forced row stay open.  One Python step per last candidate with an open
+    target then checks those targets in order and, if it is kept, marks the
+    open entries of its row.  The privates come from the kept rows alone: a
+    target met once in them has one kept neighbour, and rows ascend, so the
+    first such target in a row is its dominator's smallest private.  A
+    candidate that is last for no open target costs no Python step, so
+    O(n + E) in all.
 
     Raises :class:`DominationError` if some target has no candidate
     neighbour at all.
@@ -156,27 +162,47 @@ def minimal_dominating_set(
     lasts = owners[starts]
     # the rows of the last candidates, the only candidates that can stay
     offsets, rows = graph.neighbor_rows(lasts)
-    starts = starts.tolist()
-    groups = zip(starts, starts[1:] + [len(keys)])
-    bounds = offsets.tolist()
-    grouped = grouped.tolist()
-    # a view's slices read the rows without a Python list of all their entries
-    row_view = memoryview(rows)
-
-    stays = bytearray(len(starts))  # one flag per last candidate
-    dominated = bytearray(n)
-    for i, (start, stop) in enumerate(groups):
-        for v in grouped[start:stop]:
-            if not dominated[v]:  # lasts[i] is v's last chance, so it stays
-                stays[i] = 1
-                for u in row_view[bounds[i]:bounds[i + 1]]:
-                    dominated[u] = 1
-                break
+    lengths = offsets[1:] - offsets[:-1]
+    # a target in no other last candidate's row has no other neighbour that
+    # can stay, so its own last candidate is forced to
+    reach = np.bincount(rows, minlength=n)
+    stays = np.logical_or.reduceat(reach[grouped] == 1, starts)
+    tally = np.bincount(rows[stays.repeat(lengths)], minlength=n)
+    # a target in a forced row not its own is dominated before its turn, so
+    # the loop reads only the open targets, those in no forced row
+    unmet = tally[grouped] == 0
+    open_counts = np.add.reduceat(unmet, starts, dtype=np.int64)
+    contested = open_counts.nonzero()[0]
+    if contested.size:
+        open_ids = grouped[unmet]
+        is_open = np.zeros(n, dtype=bool)
+        is_open[open_ids] = True
+        marks = is_open[rows]
+        # each row's open entries, and where they end among all of them
+        marked = np.add.reduceat(marks, offsets[:-1], dtype=np.int64)
+        ends = marked.cumsum()[contested]
+        stops = open_counts[contested].cumsum().tolist()
+        groups = zip(
+            contested.tolist(), [0] + stops[:-1], stops,
+            (ends - marked[contested]).tolist(), ends.tolist(),
+        )
+        # views' slices read the entries without a Python list of them all
+        open_ids, row_view = memoryview(open_ids), memoryview(rows[marks])
+        kept = []
+        dominated = bytearray(n)
+        for i, start, stop, begin, end in groups:
+            for v in open_ids[start:stop]:
+                if not dominated[v]:  # lasts[i] is v's last chance, so it stays
+                    kept.append(i)
+                    for u in row_view[begin:end]:
+                        dominated[u] = 1
+                    break
+        # the first contested group always stays, so the tally has grown
+        stays[kept] = True
+        tally = np.bincount(rows[stays.repeat(lengths)], minlength=n)
 
     # a target with one kept neighbour is private to it, so the privates
     # are the targets met once in the kept rows
-    stays = np.frombuffer(stays, dtype=bool)
-    tally = np.bincount(rows[stays.repeat(offsets[1:] - offsets[:-1])], minlength=n)
     sole = tally[rows] == 1
     sole &= targets.contains_each(rows)
     # each kept row's smallest private, or n if it has none

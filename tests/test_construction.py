@@ -106,6 +106,33 @@ def reference_dominating_set(
     return private_of
 
 
+def path_ids(m: int, flipped: bool = False):
+    """The ids of t_i and of c_i in :func:`path_graph`, as two functions."""
+    if flipped:
+        return (lambda i: m + 1 + i), (lambda i: i)
+    return (lambda i: i), (lambda i: m + i)
+
+
+def path_graph(m: int, flipped: bool = False) -> BipartiteGraph:
+    """A path on side 1 t_0..t_{m-1} and side 2 c_0..c_m, with t_i joined to
+    c_i and c_{i+1}: t_i has id i and c_i id m + i, or with the sides
+    flipped c_i has id i and t_i id m + 1 + i."""
+    t, c = path_ids(m, flipped)
+    edges = [(t(i), c(i + j)) for i in range(m) for j in (0, 1)]
+    if flipped:
+        return BipartiteGraph.from_edges(m + 1, m, [(w, u) for u, w in edges])
+    return BipartiteGraph.from_edges(m, m + 1, edges)
+
+
+def path_private_of(m: int, flipped: bool = False) -> dict[int, int]:
+    """The greedy's level on :func:`path_graph` for even m: it keeps t_0,
+    t_2, ..., t_{m-2}, each with private c_i, and t_{m-1} with private c_m."""
+    t, c = path_ids(m, flipped)
+    want = {t(i): c(i) for i in range(0, m - 1, 2)}
+    want[t(m - 1)] = c(m)
+    return want
+
+
 class TestMinimalDominatingSet:
     def test_star_keeps_the_center(self):
         g = star(3, center_side=2)
@@ -183,6 +210,31 @@ class TestMinimalDominatingSet:
         level = minimal_dominating_set(g, targets, candidates)
         assert list(level.private_of.items()) == list(want.items())
 
+    @given(bipartite_graphs(max_side1=9, max_side2=9), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_contested_groups_match_the_reference_greedy(self, g, data):
+        # every target has two candidate neighbours or more, so few groups
+        # are forced and the loop decides most of them
+        assume(g.n2 >= 2)
+        side2 = g.side2.ids()
+        candidates = vset(g, data.draw(st.sets(st.sampled_from(side2), min_size=2)))
+        targets = vset(g, [v for v in g.side1 if len(nbrs(g, v) & candidates) >= 2])
+        assume(targets)
+        want = reference_dominating_set(g, targets, candidates)
+        level = minimal_dominating_set(g, targets, candidates)
+        assert list(level.private_of.items()) == list(want.items())
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_path_keeps_every_other_candidate(self, flipped):
+        # only the groups of t_0 and t_{m-1} are forced: the loop decides
+        # every other one, each after the one before it
+        for m in range(1, 13):
+            self.check_chain_levels(path_graph(m, flipped), 2)
+        for m in (2, 4, 10, 12, 10**5):
+            level = build_chain(path_graph(m, flipped), 2).levels[0]
+            want = path_private_of(m, flipped)
+            assert list(level.private_of.items()) == list(want.items())
+
     @pytest.mark.parametrize("g", [
         complete_bipartite(7, 5),
         star(9, center_side=2),
@@ -230,15 +282,20 @@ class TestMinimalDominatingSet:
         assert level.private_of == {2: 0}
 
     def test_reads_no_row_per_dominator(self, monkeypatch):
+        # each level reads the targets' rows once and the rows of their last
+        # candidates once, and decides from that one gather
         g = random_regularish(3000, 1500, 3, random.Random(11))
-
-        def refuse(self, v):
-            raise AssertionError(f"row of {v} read on its own")
-
-        monkeypatch.setattr(BipartiteGraph, "neighbor_ids", refuse)
+        reads = []
+        for name in ("neighbor_ids", "degrees_into", "last_neighbors",
+                     "neighbors_within", "neighbor_rows", "edges_between"):
+            def spy(self, *args, _real=getattr(BipartiteGraph, name), _name=name):
+                reads.append(_name)
+                return _real(self, *args)
+            monkeypatch.setattr(BipartiteGraph, name, spy)
         chain = build_chain(g, 5)
         monkeypatch.undo()
         assert len(chain.levels) == 4
+        assert reads == ["last_neighbors", "neighbor_rows"] * 4
         targets, candidates = g.side1, g.side2
         for level in chain.levels:
             want = reference_dominating_set(g, targets, candidates)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import bipartite_graphs, transpose
 from moddeg import graph as graph_module
 from moddeg.cli import main
-from moddeg.construction import find_mod_one_subgraph
+from moddeg.construction import build_chain, find_mod_one_subgraph
 from moddeg.generators import complete_bipartite, random_regularish
 from moddeg.graph import (
     BipartiteGraph,
@@ -384,6 +384,10 @@ class TestBuildMemory:
         shuffled = f"{g.n1} {g.n2}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist())
         for text in (serialize_graph(g), shuffled):
             assert self.peak_ratio(lambda: parse_graph(text)) <= 2.0
+
+    def test_build_chain_peak(self, graph_and_edges):
+        g, _ = graph_and_edges
+        assert self.peak_ratio(lambda: build_chain(g, 5), g) <= 2.0
 
     @pytest.mark.parametrize("mode", ["sampled", "derandomized"])
     def test_construction_peak(self, graph_and_edges, mode):
