@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -41,25 +40,40 @@ class DominationError(ConstructionError):
     """Some target vertex has no neighbour among the candidate dominators."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainLevel:
     """One level of the chain: dominators matched to their privates.
 
-    ``private_of[w]`` is the dominated vertex whose only dominator-neighbour at
-    this level is ``w``; its keys are the dominators, its values the privates,
-    and together they induce a matching.  ``n`` is the graph's vertex count.
+    ``dominator_ids`` and ``private_ids`` are two aligned, read-only
+    ``int64`` arrays in ascending order of dominator: ``private_ids[i]`` is
+    the dominated vertex whose only dominator-neighbour at this level is
+    ``dominator_ids[i]``, and together the pairs induce a matching.  ``n``
+    is the graph's vertex count.  Levels compare by identity.
     """
 
-    private_of: Mapping[int, int]
+    dominator_ids: np.ndarray
+    private_ids: np.ndarray
     n: int
+
+    def __post_init__(self):
+        self.dominator_ids.setflags(write=False)
+        self.private_ids.setflags(write=False)
 
     @cached_property
     def dominators(self) -> VertexSet:
-        return VertexSet.from_ids(self.private_of, self.n)
+        return _members(self.dominator_ids, self.n)
 
     @cached_property
     def privates(self) -> VertexSet:
-        return VertexSet.from_ids(self.private_of.values(), self.n)
+        return _members(self.private_ids, self.n)
+
+
+def _members(ids: np.ndarray, n: int) -> VertexSet:
+    """The set of ``ids``, an integer array of ids in [0, n), with one mask
+    write."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return VertexSet(mask)
 
 
 @dataclass(frozen=True)
@@ -84,8 +98,7 @@ class DominatingChain:
         return self.levels[-1].dominators
 
     def dominator_sizes(self) -> list[int]:
-        # one private per dominator
-        return [len(level.private_of) for level in self.levels]
+        return [len(level.dominator_ids) for level in self.levels]
 
 
 # The size analysis classifies a run as route 1 when the first dominator
@@ -113,10 +126,10 @@ def minimal_dominating_set(
 
     Starts from all candidates and removes them in ascending id order whenever
     removal keeps every target dominated, so the result is minimal but
-    deterministic.  Returns the level mapping each kept dominator to its
+    deterministic.  Returns the level pairing each kept dominator with its
     smallest-id private target (a target whose only kept neighbour it is);
-    minimality guarantees one exists for every kept dominator.  The mapping
-    is ordered by private.
+    minimality guarantees one exists for every kept dominator.  The pairs
+    come in ascending order of dominator.
 
     Cost: the removal order makes a target block a removal only at its last
     (largest-id) candidate neighbour, and only while none of its earlier
@@ -148,7 +161,7 @@ def minimal_dominating_set(
         v = int(ids[counts.argmin()])
         raise DominationError(f"target {v} has no neighbour among candidates")
     if not ids.size:
-        return ChainLevel({}, n)
+        return ChainLevel(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), n)
     # the targets grouped by their last candidate, ascending within a group:
     # one sort of the keys (last candidate, target), each below n**2
     keys = last * n
@@ -205,15 +218,12 @@ def minimal_dominating_set(
     # are the targets met once in the kept rows
     sole = tally[rows] == 1
     sole &= targets.contains_each(rows)
-    # each kept row's smallest private, or n if it has none
+    # each kept row's smallest private, or n if it has none; the last
+    # candidates ascend, so the kept ones come in order of dominator
     firsts = np.minimum.reduceat(np.where(sole, rows, n), offsets[:-1])[stays]
-    owners = lasts[stays]
-    # the mapping is ordered by private, so a missing one, n, comes last
-    order = firsts.argsort()
-    privates = firsts[order].tolist()
-    if privates[-1] == n:
+    if np.count_nonzero(firsts == n):
         raise ConstructionError("kept dominator without a private target")
-    return ChainLevel(dict(zip(owners[order].tolist(), privates)), n)
+    return ChainLevel(lasts[stays], firsts, n)
 
 
 def build_chain(graph: BipartiteGraph, k: int) -> DominatingChain:
@@ -278,8 +288,9 @@ def check_chain(graph: BipartiteGraph, chain: DominatingChain) -> list[str]:
         # privs too: a tampered level's private need not be a live target
         ids, counts, last = graph.last_neighbors(targets | privs, doms)
         sole = np.where(counts == 1, last, -1)  # the only dominator, or -1
-        at = np.searchsorted(ids, list(level.private_of.values()))
-        for (w, v), only in zip(level.private_of.items(), sole[at].tolist()):
+        pairs = zip(level.dominator_ids.tolist(), level.private_ids.tolist(),
+                    sole[ids.searchsorted(level.private_ids)].tolist())
+        for w, v, only in pairs:
             if v not in targets:
                 problems.append(f"level {idx}: private {v} was not a live target")
             if only != w:
@@ -430,6 +441,12 @@ def fix_degrees(
     dominator.  Taking (1 - deg(u into unit_targets)) mod k of them, lowest
     level first, fixes u's residue without disturbing anyone else; each
     added private ends up with induced degree exactly 1.
+
+    Cost: one count of the chosen dominators' degrees, then per level one
+    ``searchsorted`` of the dominators that take its private into the
+    level's ``dominator_ids``, and one mask write of the privates found.
+    Raises :class:`ConstructionError` if a chosen dominator is missing from
+    a level it needs, as in a chain whose levels do not nest.
     """
     k = chain.k
     if not chosen <= chain.deepest:
@@ -441,14 +458,20 @@ def fix_degrees(
     # d < 2 and at least the depth otherwise, so the modulus may stop at
     # n + depth, inside int64
     missing = (1 - degrees) % min(k, graph.n + depth)
-    order = missing.argsort()
-    # in ascending order of the count, level j goes to those after starts[j]
-    starts = missing[order].searchsorted(np.arange(1, depth + 1)).tolist()
-    ids = ids[order].tolist()
-    patch = []
-    for level, start in zip(chain.levels, starts):
-        patch.extend(map(level.private_of.__getitem__, ids[start:]))
-    return VertexSet.from_ids(patch, graph.n)
+    patch = np.zeros(graph.n, dtype=bool)
+    for number, level in enumerate(chain.levels, start=1):
+        wanted = ids[missing >= number]
+        dominators = level.dominator_ids
+        at = dominators.searchsorted(wanted)
+        # a lookup past the end reads the -1 appended there
+        found = np.append(dominators, -1)[at] == wanted
+        if not found.all():
+            w = wanted[found.argmin()]
+            raise ConstructionError(
+                f"chosen dominator {w} is not in chain level {number}"
+            )
+        patch[level.private_ids[at]] = True
+    return VertexSet(patch)
 
 
 @dataclass(frozen=True)

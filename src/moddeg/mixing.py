@@ -287,8 +287,8 @@ def derandomize_subset(
     # rows of Python floats: indexing them is cheaper than indexing the array
     table = residue_table(int(counts.max()), k, exponent).tolist()
 
-    kept = []
-    for w, start, stop in zip(member_ids.tolist(), offsets, offsets[1:]):
+    kept = bytearray()  # one decision per member, in ascending id order
+    for start, stop in zip(offsets, offsets[1:]):
         affected = touches[start:stop]
         gain_drop = 0.0
         gain_keep = 0.0
@@ -302,6 +302,7 @@ def derandomize_subset(
             undecided[v] -= 1
             if keep:
                 needed[v] = (needed[v] - 1) % k
-        if keep:
-            kept.append(w)
-    return VertexSet.from_ids(kept, graph.n)
+        kept.append(keep)
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[member_ids[np.frombuffer(kept, dtype=bool)]] = True
+    return VertexSet(mask)

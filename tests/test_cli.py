@@ -343,6 +343,15 @@ class TestByteIdentity:
             "ed566cb2a359647d1f3f32d79d30e335e9f6d35b8489abe65077eae65669987e",
         ("800,80,40", 5, "derandomized"):
             "c8d36f709079452bed7f89e9cba84b1b47dd95e9929f7a5cce4d14d09b26e335",
+        # the benchmark's sparse-find document, at the scale it runs
+        ("20000,10000,3", 3, "sampled"):
+            "44eaff2b1ad5f97e123ae91d7346b086c62c57dd212f3ef13922ec6a4ec060c5",
+        ("20000,10000,3", 3, "derandomized"):
+            "a9dd08eb8198e5a7d98c98dea65b879a76ada645d254bbee43bd6df5b7cacdea",
+        ("20000,10000,3", 5, "sampled"):
+            "357c2793de1abe6b4dc574d2e1c52cb60afce6527179bf38234e1937c1003800",
+        ("20000,10000,3", 5, "derandomized"):
+            "1ca69d0c38bb8e7876cb5a0b41927c3ce57fbaf4c226ab151201acb115571b5c",
     }
     BENCH = "66263ba7b5ce40b976277935b7f598a854c69d227b02301a0a3c24d7e7697545"
     GEN = {

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -43,6 +44,21 @@ def vset(g: BipartiteGraph, ids=()) -> VertexSet:
 
 def nbrs(g: BipartiteGraph, v: int) -> VertexSet:
     return vset(g, g.neighbor_ids(v))
+
+
+def level_of(private_of: dict[int, int], n: int) -> ChainLevel:
+    """The chain level pairing each dominator, a key of ``private_of``, with
+    its private, the key's value, in ascending order of dominator."""
+    dominators = sorted(private_of)
+    privates = [private_of[w] for w in dominators]
+    return ChainLevel(np.array(dominators, dtype=np.int64),
+                      np.array(privates, dtype=np.int64), n)
+
+
+def pairs(level: ChainLevel) -> list[tuple[int, int]]:
+    """The (dominator, private) pairs of ``level``, in its order: the
+    inverse of :func:`level_of`, as ``dict(pairs(level))``."""
+    return list(zip(level.dominator_ids.tolist(), level.private_ids.tolist()))
 
 
 def remainder_to_deepest(g: BipartiteGraph, chain: DominatingChain) -> Incidence:
@@ -138,13 +154,13 @@ class TestMinimalDominatingSet:
         g = star(3, center_side=2)
         level = minimal_dominating_set(g, g.side1, g.side2)
         assert set(level.dominators) == {3}
-        assert level.private_of == {3: 0}
+        assert pairs(level) == [(3, 0)]
 
     def test_matching_keeps_everything(self):
         g = matching(3)
         level = minimal_dominating_set(g, g.side1, g.side2)
         assert level.dominators == g.side2
-        assert level.private_of == {3: 0, 4: 1, 5: 2}
+        assert pairs(level) == [(3, 0), (4, 1), (5, 2)]
 
     def test_complete_graph_vs_exhaustive_minimal_sets(self):
         g = complete_bipartite(3, 3)
@@ -176,7 +192,7 @@ class TestMinimalDominatingSet:
     @settings(max_examples=80)
     def test_domination_minimality_privates(self, g):
         level = minimal_dominating_set(g, g.side1, g.side2)
-        doms, private_of = level.dominators, level.private_of
+        doms, private_of = level.dominators, dict(pairs(level))
         assert doms <= g.side2
         for v in g.side1:
             assert nbrs(g, v) & doms
@@ -208,7 +224,7 @@ class TestMinimalDominatingSet:
             assert str(caught.value) == str(exc)
             return
         level = minimal_dominating_set(g, targets, candidates)
-        assert list(level.private_of.items()) == list(want.items())
+        assert pairs(level) == sorted(want.items())
 
     @given(bipartite_graphs(max_side1=9, max_side2=9), st.data())
     @settings(max_examples=300, deadline=None)
@@ -222,7 +238,7 @@ class TestMinimalDominatingSet:
         assume(targets)
         want = reference_dominating_set(g, targets, candidates)
         level = minimal_dominating_set(g, targets, candidates)
-        assert list(level.private_of.items()) == list(want.items())
+        assert pairs(level) == sorted(want.items())
 
     @pytest.mark.parametrize("flipped", [False, True])
     def test_path_keeps_every_other_candidate(self, flipped):
@@ -233,7 +249,7 @@ class TestMinimalDominatingSet:
         for m in (2, 4, 10, 12, 10**5):
             level = build_chain(path_graph(m, flipped), 2).levels[0]
             want = path_private_of(m, flipped)
-            assert list(level.private_of.items()) == list(want.items())
+            assert pairs(level) == sorted(want.items())
 
     @pytest.mark.parametrize("g", [
         complete_bipartite(7, 5),
@@ -258,7 +274,7 @@ class TestMinimalDominatingSet:
         g = random_regularish(30, 12, 3, random.Random(4))
         for candidates in (g.side2, vset(g), vset(g, [30, 35])):
             level = minimal_dominating_set(g, vset(g), candidates)
-            assert level.private_of == {}
+            assert pairs(level) == []
             assert level.dominators == vset(g)
 
     def test_candidate_next_to_no_target_is_never_kept(self):
@@ -267,11 +283,11 @@ class TestMinimalDominatingSet:
             3, 4, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 6)]
         )
         level = minimal_dominating_set(g, vset(g, [0]), g.side2)
-        assert level.private_of == {4: 0}
+        assert pairs(level) == [(4, 0)]
         for targets in (vset(g, [0]), vset(g, [0, 2])):
             want = reference_dominating_set(g, targets, g.side2)
             level = minimal_dominating_set(g, targets, g.side2)
-            assert list(level.private_of.items()) == list(want.items())
+            assert pairs(level) == sorted(want.items())
             assert level.dominators.isdisjoint(vset(g, [5]))
 
     def test_smallest_private_is_not_the_forcing_target(self):
@@ -279,7 +295,7 @@ class TestMinimalDominatingSet:
         # neighbour is 2 as well, is the smaller private
         g = BipartiteGraph.from_edges(2, 2, [(0, 2), (0, 3), (1, 2)])
         level = minimal_dominating_set(g, g.side1, g.side2)
-        assert level.private_of == {2: 0}
+        assert pairs(level) == [(2, 0)]
 
     def test_reads_no_row_per_dominator(self, monkeypatch):
         # each level reads the targets' rows once and the rows of their last
@@ -299,7 +315,7 @@ class TestMinimalDominatingSet:
         targets, candidates = g.side1, g.side2
         for level in chain.levels:
             want = reference_dominating_set(g, targets, candidates)
-            assert list(level.private_of.items()) == list(want.items())
+            assert pairs(level) == sorted(want.items())
             targets, candidates = targets - level.privates, level.dominators
 
     @staticmethod
@@ -310,7 +326,7 @@ class TestMinimalDominatingSet:
             targets, candidates = candidates, targets
         for level in build_chain(g, k).levels:
             want = reference_dominating_set(g, targets, candidates)
-            assert list(level.private_of.items()) == list(want.items())
+            assert pairs(level) == sorted(want.items())
             targets, candidates = targets - level.privates, level.dominators
 
 
@@ -325,7 +341,7 @@ class TestBuildChain:
         chain = build_chain(complete_bipartite(3, 3), 3)
         assert [set(l.dominators) for l in chain.levels] == [{5}, {5}]
         assert [set(l.privates) for l in chain.levels] == [{0}, {1}]
-        assert [dict(l.private_of) for l in chain.levels] == [{5: 0}, {5: 1}]
+        assert [pairs(l) for l in chain.levels] == [[(5, 0)], [(5, 1)]]
         assert set(chain.remainder) == {2}
         assert chain.dominator_sizes() == [1, 1]
 
@@ -346,7 +362,7 @@ class TestBuildChain:
             assert level.dominators <= previous
             assert len(level.privates) == len(level.dominators)
             assert level.privates.isdisjoint(claimed)
-            for w, v in level.private_of.items():
+            for w, v in pairs(level):
                 assert nbrs(g, v) & level.dominators == vset(g, [w])
             claimed = claimed | level.privates
             previous = level.dominators
@@ -354,24 +370,30 @@ class TestBuildChain:
 
     def test_each_level_keeps_the_set_it_kept(self, monkeypatch):
         g = random_regularish(60, 30, 3, random.Random(1))
-        # each level builds its dominators and its privates once
-        built = []
-        from_ids = VertexSet.from_ids
+        # each level writes its dominators and its privates as masks from
+        # its arrays, and never goes through the id-list path
 
-        def counted(ids, n):
-            built.append(n)
-            return from_ids(ids, n)
+        def refused(ids, n):
+            raise AssertionError("build_chain called VertexSet.from_ids")
 
-        monkeypatch.setattr(VertexSet, "from_ids", staticmethod(counted))
+        monkeypatch.setattr(VertexSet, "from_ids", staticmethod(refused))
         chain = build_chain(g, 5)
         monkeypatch.undo()
-        assert len(built) == 2 * len(chain.levels)
+        assert len(chain.levels) == 4
         for level in chain.levels:
-            assert level.dominators == VertexSet.from_ids(level.private_of, g.n)
-            privates = list(level.private_of.values())
-            assert privates == sorted(privates)
-        level = ChainLevel({4: 0, 5: 1}, complete_bipartite(3, 3).n)
+            doms, privs = level.dominator_ids, level.private_ids
+            for ids, members in ((doms, level.dominators), (privs, level.privates)):
+                assert ids.dtype == np.int64 and not ids.flags.writeable
+                assert len(ids) == len(members)
+                assert members == VertexSet.from_ids(ids.tolist(), g.n)
+            # aligned, in ascending order of dominator
+            assert doms.tolist() == level.dominators.ids()
+            for w, v in pairs(level):
+                assert nbrs(g, v) & level.dominators == vset(g, [w])
+        level = level_of({5: 1, 4: 0}, complete_bipartite(3, 3).n)
+        assert pairs(level) == [(4, 0), (5, 1)]
         assert level.dominators == VertexSet.from_ids([4, 5], level.n)
+        assert level.privates == VertexSet.from_ids([0, 1], level.n)
 
     @pytest.mark.parametrize("k", [50, 10**4])
     def test_levels_after_the_last_target_cost_no_search(self, monkeypatch, k):
@@ -432,7 +454,7 @@ def reference_check_chain(g: BipartiteGraph, chain: DominatingChain) -> list[str
         def dominators_of(v: int) -> list[int]:
             return [u for u in g.neighbor_ids(v) if u in dom_ids]
 
-        for w, v in level.private_of.items():
+        for w, v in pairs(level):
             if v not in target_ids:
                 problems.append(f"level {idx}: private {v} was not a live target")
             if dominators_of(v) != [w]:
@@ -469,7 +491,7 @@ def tampered_chains(draw):
     g = draw(bipartite_graphs(max_side1=9, max_side2=9))
     k = draw(st.integers(2, 5))
     chain = build_chain(g, k)
-    levels = [dict(level.private_of) for level in chain.levels]
+    levels = [dict(pairs(level)) for level in chain.levels]
     remainder = chain.remainder
     vertex = st.integers(0, g.n - 1)
     for _ in range(draw(st.integers(1, 3))):
@@ -489,7 +511,7 @@ def tampered_chains(draw):
                 del level[w]
             else:
                 level[w] = draw(vertex)
-    levels = tuple(ChainLevel(private_of, g.n) for private_of in levels)
+    levels = tuple(level_of(private_of, g.n) for private_of in levels)
     return g, DominatingChain(k=k, levels=levels, remainder=remainder)
 
 
@@ -503,7 +525,7 @@ class TestCheckChain:
     def test_flags_empty_level(self):
         g = star(6, center_side=2)
         chain = build_chain(g, 7)
-        empty = ChainLevel({}, g.n)
+        empty = level_of({}, g.n)
         bad = DominatingChain(
             k=8, levels=(*chain.levels, empty), remainder=chain.remainder
         )
@@ -522,7 +544,7 @@ class TestCheckChain:
 
     def test_flags_redundant_dominator(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={4: 0, 5: 1}, n=g.n)
+        level = level_of({4: 0, 5: 1}, g.n)
         bad = DominatingChain(k=2, levels=(level,), remainder=vset(g, [2]))
         problems = check_chain(g, bad)
         # in K33 no vertex is private to anyone once two dominators stay
@@ -537,7 +559,7 @@ class TestCheckChain:
 
     def test_flags_overlapping_privates(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={5: 0}, n=g.n)
+        level = level_of({5: 0}, g.n)
         bad = DominatingChain(
             k=3, levels=(level, level), remainder=g.side1 - vset(g, [0])
         )
@@ -545,13 +567,13 @@ class TestCheckChain:
 
     def test_flags_private_shared_by_two_dominators(self):
         g = complete_bipartite(3, 3)
-        level = ChainLevel(private_of={4: 0, 5: 0}, n=g.n)
+        level = level_of({4: 0, 5: 0}, g.n)
         bad = DominatingChain(k=2, levels=(level,), remainder=g.side1 - level.privates)
         assert any("private count differs" in p for p in check_chain(g, bad))
 
     def test_flags_broken_domination(self):
         g = matching(3)
-        level = ChainLevel(private_of={3: 0}, n=g.n)
+        level = level_of({3: 0}, g.n)
         bad = DominatingChain(k=2, levels=(level,), remainder=vset(g, [1, 2]))
         assert any("undominated" in p for p in check_chain(g, bad))
 
@@ -597,7 +619,7 @@ class TestRouteIngredients:
         # vertex 1 has no neighbour in the deepest level {2}
         g = matching(2)
         chain = DominatingChain(
-            k=3, levels=(ChainLevel({2: 0}, g.n),), remainder=vset(g, [1])
+            k=3, levels=(level_of({2: 0}, g.n),), remainder=vset(g, [1])
         )
         incidence = remainder_to_deepest(g, chain)
         with pytest.raises(ConstructionError) as caught:
@@ -611,7 +633,7 @@ class TestRouteIngredients:
         g = staircase_graph()
         chain = DominatingChain(
             k=k,
-            levels=(ChainLevel({11 + i: i for i in range(7)}, g.n),),
+            levels=(level_of({11 + i: i for i in range(7)}, g.n),),
             remainder=vset(g, [7, 8, 9, 10]),
         )
         ids, degrees = g.degrees_into(chain.remainder, chain.deepest)
@@ -862,7 +884,7 @@ class TestFixDegrees:
     def test_modulus_beyond_int64(self):
         g = matching(2)
         chain = DominatingChain(
-            k=10**20, levels=(ChainLevel({2: 0}, g.n),), remainder=vset(g, [1])
+            k=10**20, levels=(level_of({2: 0}, g.n),), remainder=vset(g, [1])
         )
         patch = fix_degrees(g, chain, chain.deepest, vset(g))
         assert set(patch) == {0}
@@ -876,6 +898,23 @@ class TestFixDegrees:
         assert len(chain.levels) == 7
         patch = fix_degrees(g, chain, chain.deepest, g.side1)
         assert patch == g.side1
+
+    @pytest.mark.parametrize("first, chosen", [
+        ({4: 0}, 5),  # the lookup runs past the level's last dominator
+        ({5: 0}, 4),  # the lookup lands on another dominator
+    ])
+    def test_rejects_levels_that_do_not_nest(self, first, chosen):
+        # the chosen dominator is in the deepest level but not in level 1,
+        # whose private its residue needs
+        g = complete_bipartite(3, 3)
+        second = {chosen: 1}
+        chain = DominatingChain(
+            k=3, levels=(level_of(first, g.n), level_of(second, g.n)),
+            remainder=vset(g, [2]),
+        )
+        with pytest.raises(ConstructionError) as caught:
+            fix_degrees(g, chain, vset(g, [chosen]), vset(g))
+        assert str(caught.value) == f"chosen dominator {chosen} is not in chain level 1"
 
     def test_rejects_chosen_outside_deepest(self):
         g = complete_bipartite(3, 3)
@@ -902,7 +941,7 @@ class TestFixDegrees:
         want = set()
         for u in chosen:
             missing = (1 - len(set(g.neighbor_ids(u)) & set(units))) % k
-            want.update(level.private_of[u] for level in chain.levels[:missing])
+            want.update(dict(pairs(level))[u] for level in chain.levels[:missing])
         assert set(fix_degrees(g, chain, chosen, units)) == want
 
     @given(bipartite_graphs(max_side1=7, max_side2=7), st.integers(2, 5))

@@ -318,7 +318,8 @@ class TestDerandomize:
         """Members and scored vertices drawn as any subsets of side 2 and
         side 1, so some members may have no scored neighbour and some
         scored vertices no member neighbour.  The derandomizer reads the
-        members' rows alone: no degree query over the scored vertices'."""
+        members' rows alone: no degree query over the scored vertices'.
+        It writes its result as a mask, not through the id-list path."""
         members, scored = (
             VertexSet.from_ids(data.draw(st.sets(st.sampled_from(side.ids()))), g.n)
             for side in (g.side2, g.side1)
@@ -326,10 +327,11 @@ class TestDerandomize:
         want = touches_derandomize(g, members, scored, k, exponent)
 
         def refuse(*args):
-            raise AssertionError("degrees_into was called")
+            raise AssertionError("degrees_into or from_ids was called")
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(BipartiteGraph, "degrees_into", refuse)
+            patch.setattr(VertexSet, "from_ids", staticmethod(refuse))
             assert mixing.derandomize_subset(g, members, scored, k, exponent) == want
 
     def test_isolated_members_and_scored_vertices(self):
