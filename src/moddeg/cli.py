@@ -18,11 +18,19 @@ verification or cross-check fails, 2 for bad input or bad usage.  An
 omitted ``--seed`` or spec ``"seed"`` means 0.  The high-degree cut of
 ``find`` and the term count of ``mixing`` are both k^3
 (:func:`moddeg.mixing.high_degree_cut`).
+
+:func:`main` builds its parser once per process and reuses it on every
+call.  That is safe because ``parse_args`` never mutates the parser: each
+call fills a new namespace, and the ``append`` action behind ``gen
+--param`` copies its default list before it appends, so no value carries
+over from one call to the next.  :func:`build_parser` still returns a new
+parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,9 +364,14 @@ def _cmd_mixing(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "find": _cmd_find,
         "oracle": _cmd_oracle,

@@ -34,6 +34,7 @@ result is 0 exactly when no non-empty witness exists.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -140,13 +141,33 @@ class _OutOfBudget(Exception):
     """The search has spent its whole budget."""
 
 
+@functools.cache
+def _assignments(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``2**h`` assignments of ``h`` top vertices, read-only and built
+    once per ``h``: ``masks``, each assignment as its mask, and ``bits``,
+    whose row i is 1 on the assignments that include top vertex i.  As h
+    is at most ``TOP_BITS``, at most ``TOP_BITS + 1`` tables are kept, the
+    largest about 1.5 MB."""
+    size = 1 << h
+    masks = np.arange(size, dtype=np.int64)
+    bits = np.zeros((h, size), np.uint8)
+    for i, bit in enumerate(bits):
+        bit.reshape(-1, 2, 1 << i)[:, 1] = 1
+    masks.setflags(write=False)
+    bits.setflags(write=False)
+    return masks, bits
+
+
 class _Search:
     """One :func:`exact_max_order` call: the graph as neighbour lists, the
-    smaller side's decision order, the incumbent and the counters."""
+    smaller side's decision order, the incumbent and the counters.  The
+    neighbour lists come from one gather of every row, turned into Python
+    lists with one ``tolist()`` per array."""
 
     def __init__(self, graph: BipartiteGraph, spec: ResidueSpec, budget: int):
         n1, n = graph.n1, graph.n
-        self.nbrs = nbrs = [graph.neighbor_ids(v) for v in range(n)]
+        offsets, flat = (part.tolist() for part in graph.neighbor_rows(np.arange(n)))
+        self.nbrs = nbrs = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
         small, large = range(n1), range(n1, n)
         if graph.n2 < n1:
             small, large = large, small
@@ -202,7 +223,8 @@ class _Search:
         ``pairs`` holds each larger-side vertex's top neighbours as a mask
         and its undecided neighbours.  One NumPy pass computes them: every
         array holds one entry per assignment, and the larger-side vertices
-        with equal pairs are added in one step.
+        with equal pairs are added in one step.  The assignments' masks and
+        include bits are read from :func:`_assignments`' table for ``h``.
 
         When the top vertices are the whole eligible smaller side, an
         assignment decides it, its live larger-side vertices are exactly its
@@ -214,11 +236,7 @@ class _Search:
         r, q, size = self.r, self.q, 1 << h
         base = len(self.rest)
         decided = not self.rest
-        masks = np.arange(size, dtype=np.int64)
-        # bits[i] is 1 on the assignments that include top vertex i
-        bits = np.zeros((h, size), np.uint8)
-        for i, bit in enumerate(bits):
-            bit.reshape(-1, 2, 1 << i)[:, 1] = 1
+        masks, bits = _assignments(h)
         # every count below is at most len(pairs) + 1 = over, so the
         # narrowest unsigned type that holds that keeps the arrays small
         over = len(pairs) + 1
@@ -254,9 +272,7 @@ class _Search:
             lose = np.array(
                 [(k - r) % q if k >= r else over for k in range(over)], width
             )
-            most = np.zeros(size, width)
-            for i in range(h):
-                np.maximum(most, np.take(lose, counts[i]) * bits[i], out=most)
+            most = (np.take(lose, counts) * bits).max(axis=0, initial=0)
             bound -= most
         keys = bound << h | masks
         if decided:

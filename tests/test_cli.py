@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moddeg
-from moddeg import generators
+from moddeg import cli, generators
 from moddeg.cli import main
 from moddeg.graph import parse_graph
 
@@ -717,6 +718,51 @@ class TestModuleEntryPoints:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.splitlines()[0].split()[0] == "k"
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process: no call may see another's
+    arguments, so every output repeats byte for byte."""
+
+    def test_outputs_repeat_across_calls_and_usage_errors(self, star_file, tmp_path,
+                                                          capsys):
+        spec = write_spec(tmp_path, {"k": 3, "seed": 4, "instances": [
+            {"kind": "random", "count": 3, "params": {"n1": 8, "n2": 6, "p": 0.3}},
+        ]})
+        requests = [
+            ["find", "--input", str(star_file), "--k", "3", "--json", "--verbose"],
+            ["oracle", "--input", str(star_file), "--q", "3", "--naive", "--json"],
+            ["gen", "--kind", "star", "--param", "leaves=4", "--param", "center_side=2"],
+            ["gen", "--kind", "matching", "--param", "pairs=3"],
+            ["bench", "--spec", str(spec), "--oracle-max-n", "20", "--format", "json"],
+            ["mixing", "--k-max", "4"],
+        ]
+        first = [run(argv, capsys) for argv in requests]
+        assert [code for code, _, _ in first] == [0] * len(requests)
+        # one --param is appended to this call's namespace before the usage
+        # error, which must not reach a later call
+        with pytest.raises(SystemExit) as usage:
+            main(["gen", "--kind", "star", "--param", "leaves=9", "--param", "bogus"])
+        assert usage.value.code == 2
+        assert "expected key=value" in capsys.readouterr().err
+        assert [run(argv, capsys) for argv in requests] == first
+        assert [run(argv, capsys) for argv in reversed(requests)] == first[::-1]
+
+    def test_param_default_is_never_filled(self, capsys):
+        assert run(["gen", "--kind", "matching", "--param", "pairs=2"], capsys)[0] == 0
+        sub = next(action for action in cli._parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        gen = sub.choices["gen"]
+        param = next(action for action in gen._actions if action.dest == "param")
+        assert param.default == []
+        code, out, err = run(["gen", "--kind", "star"], capsys)
+        assert code == 2 and out == ""
+        assert "pairs" not in err
+
+    def test_main_reuses_its_parser_and_build_parser_does_not(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
 
 
 # Inputs for the boundary fuzz test: integers stay small so every run is quick.

@@ -281,6 +281,41 @@ class TestRankingPass:
                 check_ranking(g, spec)
                 check_ranking(swapped, spec)
 
+    def test_no_eligible_vertex(self):
+        # no vertex has r = 2 neighbours, so no top vertex is ranked (h = 0)
+        g, spec = matching(3), ResidueSpec(2, 3)
+        search = oracle._Search(g, spec, 1)
+        assert (search.top, search.rest) == ([], [])
+        check_ranking(g, spec)
+
+    @pytest.mark.parametrize("n1, rest", [(16, 0), (17, 1)])
+    def test_every_top_bit(self, n1, rest):
+        g = random_bipartite(n1, n1 + 1, 0.3, random.Random(3))
+        spec = ResidueSpec(1, 3)
+        search = oracle._Search(g, spec, 1)
+        assert (len(search.top), len(search.rest)) == (oracle.TOP_BITS, rest)
+        check_ranking(g, spec)
+
+
+class TestAssignmentTables:
+    """The ranking pass's per-size tables are built once and shared by every
+    search, so none of them may be written."""
+
+    @pytest.mark.parametrize("h", [0, 1, 5, oracle.TOP_BITS])
+    def test_contents(self, h):
+        masks, bits = oracle._assignments(h)
+        assert masks.tolist() == list(range(1 << h))
+        assert bits.tolist() == [[m >> i & 1 for m in range(1 << h)] for i in range(h)]
+
+    def test_built_once_and_read_only(self):
+        masks, bits = oracle._assignments(4)
+        assert oracle._assignments(4)[0] is masks
+        with pytest.raises(ValueError):
+            masks[3] = 0
+        with pytest.raises(ValueError):
+            bits[0] += 1
+        assert masks[3] == 3 and bits[0].tolist() == [0, 1] * 8
+
 
 def relabel(g: BipartiteGraph, perm1, perm2) -> BipartiteGraph:
     edges = [
