@@ -8,8 +8,13 @@ subset.
 
 One n-term distribution is the inverse discrete Fourier transform of the
 per-step characters phi(j) = 1 - q + q*e^(2*pi*i*j/k) raised to the n-th
-power: O(k^2) work for any n, with an absolute rounding error of a few
-machine epsilons.  The derandomizer needs every row 0..n_max instead, which
+power: O(k^2) work for any n.  Its rounding error grows with n and k: phi(j)
+is rounded next to 1, and phi(j)^n carries that error about n times over;
+when n*2^-p is small, k terms of size near 1 cancel to each probability.
+Where the probabilities then sum to more than 1e-12 away from 1,
+:class:`ResidueDistribution` refuses them with a ValueError.
+
+The derandomizer needs every row 0..n_max instead, which
 :func:`residue_table` builds with the k-state recurrence in O(n_max*k); its
 entries stay exact for as long as the dyadic values fit a double.  An exact
 ``Fraction``-based evaluation is provided as a test oracle for small n.
@@ -96,19 +101,35 @@ def residue_table(n_max: int, k: int, exponent: int) -> np.ndarray:
     return table
 
 
+# Most (residue, character) terms the inverse DFT holds in memory at once.
+_BLOCK_TERMS = 1 << 16
+
+
 def residue_distribution(n: int, k: int, exponent: int = 1) -> ResidueDistribution:
     """Distribution of an n-term dyadic sum mod k, in closed form.
 
     P(r) = (1/k) * sum_j phi(j)^n * e^(-2*pi*i*r*j/k), a direct k-by-k sum.
     Rounding can leave a probability a few ulps below 0; those are clipped.
+
+    Cost: k complex powers and k roots in Python, then O(k^2) terms in array
+    passes over blocks of at most 2^16 terms (one residue's k terms when k is
+    larger), so memory is O(k + 2^16).  Each
+    term's real part is formed as Python forms a complex product's, and the
+    terms of a residue are added left to right in j, as ``sum`` adds them.
     """
     _validate(n, k, exponent)
-    powers = [phi ** n for phi in _characters(k, exponent)]
-    roots = [cmath.exp(-2j * math.pi * m / k) for m in range(k)]
-    probs = np.array([
-        sum(power * roots[r * j % k] for j, power in enumerate(powers)).real / k
-        for r in range(k)
-    ])
+    powers = np.array([phi ** n for phi in _characters(k, exponent)])
+    roots = np.array([cmath.exp(-2j * math.pi * m / k) for m in range(k)])
+    j = np.arange(k)
+    rows = max(1, _BLOCK_TERMS // k)
+    probs = np.empty(k)
+    for start in range(0, k, rows):
+        r = np.arange(start, min(start + rows, k))
+        turn = roots[np.multiply.outer(r, j) % k]
+        terms = powers.real * turn.real
+        terms -= powers.imag * turn.imag
+        probs[r] = np.add.accumulate(terms, axis=1)[:, -1]
+    probs /= k
     return ResidueDistribution(
         n=n, k=k, exponent=exponent, probs=np.maximum(probs, 0.0)
     )

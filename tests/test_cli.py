@@ -367,6 +367,13 @@ class TestByteIdentity:
             "e4df3edeb803285ef62a752cf2f920c157e2d36a2a2eb20d175da4bdeb9e95d4",
     }
     GEN_RANDOM = "7a1a795ed864774690d03163d6d258a7a6436a72b7492a464589367e790b7658"
+    MIXING = {
+        # the benchmark's mixing-table request
+        ("--format", "csv"):
+            "b1587eed5fce6f49074490117f3d332bc874c2456ba9abe62ebdb6f8250ffcbc",
+        ("--k-max", "60"):
+            "e1d7b9f7da977b3213ddc00d8fbdf344d8a4f2ccc45664bf9a89d5f40ab07ec0",
+    }
 
     @staticmethod
     def sha256(text):
@@ -408,6 +415,12 @@ class TestByteIdentity:
         )
         assert code == 0
         assert self.sha256(out) == self.GEN_RANDOM
+
+    @pytest.mark.parametrize("args", sorted(MIXING))
+    def test_mixing(self, args, capsys):
+        code, out, _ = run(["mixing", *args], capsys)
+        assert code == 0
+        assert self.sha256(out) == self.MIXING[args]
 
     def test_bench_json_with_oracle(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"k": 3, "instances": [
