@@ -8,9 +8,10 @@ subset.
 
 One n-term distribution is the inverse discrete Fourier transform of the
 per-step characters phi(j) = 1 - q + q*e^(2*pi*i*j/k) raised to the n-th
-power: O(k^2) work for any n.  Its rounding error grows with n and k: phi(j)
-is rounded next to 1, and phi(j)^n carries that error about n times over;
-when n*2^-p is small, k terms of size near 1 cancel to each probability.
+power: one FFT, O(k log k) work for any n.  Its rounding error grows with n
+and k: phi(j) is rounded next to 1, and phi(j)^n carries that error about n
+times over; when n*2^-p is small, k terms of size near 1 cancel to each
+probability.
 Where the probabilities then sum to more than 1e-12 away from 1,
 :class:`ResidueDistribution` refuses them with a ValueError.
 
@@ -101,37 +102,34 @@ def residue_table(n_max: int, k: int, exponent: int) -> np.ndarray:
     return table
 
 
-# Most (residue, character) terms the inverse DFT holds in memory at once.
-_BLOCK_TERMS = 1 << 16
+def _power(phi: complex, n: int) -> complex:
+    try:
+        return phi ** n
+    except ZeroDivisionError:
+        # the phase n*arg(phi) overflows only when |phi| < 1, and |phi|**n is
+        # then 0 in a double; CPython reports the overflow as EDOM
+        return 0j
 
 
 def residue_distribution(n: int, k: int, exponent: int = 1) -> ResidueDistribution:
     """Distribution of an n-term dyadic sum mod k, in closed form.
 
-    P(r) = (1/k) * sum_j phi(j)^n * e^(-2*pi*i*r*j/k), a direct k-by-k sum.
-    Rounding can leave a probability a few ulps below 0; those are clipped.
+    P(r) = (1/k) * sum_j phi(j)^n * e^(-2*pi*i*r*j/k), the discrete Fourier
+    transform of the powers.  Rounding can leave a probability a few ulps
+    outside [0, 1] (the FFT gives 1 + 2^-52 for the empty sum at k = 127);
+    those are clipped.  When n < k, the residues above n cannot occur and
+    are set to exactly 0.
 
-    Cost: k complex powers and k roots in Python, then O(k^2) terms in array
-    passes over blocks of at most 2^16 terms (one residue's k terms when k is
-    larger), so memory is O(k + 2^16).  Each
-    term's real part is formed as Python forms a complex product's, and the
-    terms of a residue are added left to right in j, as ``sum`` adds them.
+    Cost: k complex powers in Python, then one ``np.fft.fft`` of k terms:
+    O(k log k) time and O(k) memory for any n.
     """
     _validate(n, k, exponent)
-    powers = np.array([phi ** n for phi in _characters(k, exponent)])
-    roots = np.array([cmath.exp(-2j * math.pi * m / k) for m in range(k)])
-    j = np.arange(k)
-    rows = max(1, _BLOCK_TERMS // k)
-    probs = np.empty(k)
-    for start in range(0, k, rows):
-        r = np.arange(start, min(start + rows, k))
-        turn = roots[np.multiply.outer(r, j) % k]
-        terms = powers.real * turn.real
-        terms -= powers.imag * turn.imag
-        probs[r] = np.add.accumulate(terms, axis=1)[:, -1]
-    probs /= k
+    powers = [_power(phi, n) for phi in _characters(k, exponent)]
+    probs = np.fft.fft(powers).real / k
+    if n + 1 < k:
+        probs[n + 1:] = 0.0
     return ResidueDistribution(
-        n=n, k=k, exponent=exponent, probs=np.maximum(probs, 0.0)
+        n=n, k=k, exponent=exponent, probs=np.clip(probs, 0.0, 1.0)
     )
 
 
